@@ -16,7 +16,7 @@ fn hydraulic_solve(c: &mut Criterion) {
         ("epa_net", synth::epa_net()),
         ("wssc_subnet", synth::wssc_subnet()),
     ] {
-        for backend in [LinearBackend::Dense, LinearBackend::SparseCg] {
+        for backend in [LinearBackend::Dense, LinearBackend::Sparse] {
             let opts = SolverOptions {
                 backend,
                 ..Default::default()
@@ -36,7 +36,7 @@ fn hydraulic_solve(c: &mut Criterion) {
 }
 
 fn backend_crossover(c: &mut Criterion) {
-    // The dense-vs-sparse crossover by junction count.
+    // Dense Cholesky vs sparse LDLᵀ as the junction count grows.
     let mut group = c.benchmark_group("backend_crossover");
     group.sample_size(20);
     for side in [6usize, 12, 20, 28] {
@@ -55,7 +55,7 @@ fn backend_crossover(c: &mut Criterion) {
         let r = net.add_reservoir("SRC", head, (-500.0, 0.0)).unwrap();
         net.add_pipe("MAIN", r, grid.junctions[0], 300.0, 0.6, 130.0)
             .unwrap();
-        for backend in [LinearBackend::Dense, LinearBackend::SparseCg] {
+        for backend in [LinearBackend::Dense, LinearBackend::Sparse] {
             let opts = SolverOptions {
                 backend,
                 ..Default::default()

@@ -13,8 +13,10 @@
 //! * **Extended-period simulation** with tank level integration and
 //!   pattern-driven demands ([`ExtendedPeriodSim`]), whose hydraulic time
 //!   step doubles as the IoT sampling interval (15 minutes in the paper).
-//! * Two interchangeable linear-solver backends (dense Cholesky and sparse
-//!   conjugate gradient) for the ablation called out in DESIGN.md.
+//! * A sparse `LDLᵀ` linear solve, analyzed once per [`SolverWorkspace`]
+//!   (minimum-degree ordering, elimination tree) and refactored every
+//!   Newton iteration, with dense Cholesky kept as the reference oracle and
+//!   the recovery ladder's fallback ([`LinearBackend`]).
 //!
 //! # Example
 //!

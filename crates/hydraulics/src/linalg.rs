@@ -1,17 +1,22 @@
 //! Linear algebra kernels for the GGA inner solve.
 //!
 //! The GGA normal matrix is symmetric positive definite (an M-matrix built
-//! from link conductances plus emitter derivatives), so two classic solvers
-//! apply:
+//! from link conductances plus emitter derivatives), so it factors as
+//! `LDLᵀ` without pivoting. Two factorizations are kept:
 //!
-//! * [`DenseSpd`] — dense Cholesky factorization, `O(n³)`, unbeatable for
-//!   small junction counts;
-//! * [`SparseSym`] + [`conjugate_gradient`] — compressed-sparse-row storage
-//!   with a Jacobi-preconditioned conjugate gradient, `O(nnz)` per
-//!   iteration, the right choice for larger networks.
+//! * [`SparseSym`] + [`SparseLdl`] — compressed-sparse-row storage and a
+//!   sparse `LDLᵀ` factorization under a minimum-degree ordering. The
+//!   symbolic analysis runs once per pattern; each solve is a numeric
+//!   refactorization plus two triangular solves, whose cost follows the
+//!   fill of `L` — small on the near-tree graphs of water networks. This is
+//!   the production path.
+//! * [`DenseSpd`] — dense Cholesky, `O(n³)`, the reference oracle and the
+//!   recovery ladder's fallback.
 //!
 //! Both are exercised against each other in tests and benchmarked in the
 //! backend ablation (DESIGN.md §5).
+
+use std::collections::BTreeSet;
 
 /// A dense symmetric positive definite matrix with a Cholesky solver.
 #[derive(Debug, Clone)]
@@ -263,140 +268,247 @@ impl SparseSym {
             .sum()
     }
 
-    /// `y = A x`.
-    pub fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        for (i, yi) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            *yi = acc;
-        }
-    }
-
-    /// Diagonal entries (Jacobi preconditioner).
-    pub fn diagonal(&self) -> Vec<f64> {
-        (0..self.n).map(|i| self.get(i, i)).collect()
+    /// Column indices of row `i`'s stored entries, ascending.
+    fn row_cols(&self, i: usize) -> &[usize] {
+        &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]]
     }
 }
 
-/// Reusable buffers for [`conjugate_gradient_into`], kept allocated across
-/// solves (workspace reuse).
-#[derive(Debug, Clone, Default)]
-pub struct CgScratch {
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-    inv_diag: Vec<f64>,
+/// Marks a root of the elimination tree in [`SparseLdl`]'s parent array.
+const NO_PARENT: usize = usize::MAX;
+
+/// Sparse `LDLᵀ` factorization of a [`SparseSym`] pattern, analyzed once and
+/// refactored in place for every new set of values.
+///
+/// [`SparseLdl::analyze`] does the symbolic half: a deterministic
+/// minimum-degree ordering `P` of the pattern, the elimination tree of
+/// `P A Pᵀ` and the column counts of its unit lower-triangular factor `L`.
+/// That fixes the size of every buffer, so [`SparseLdl::solve_into`] — an
+/// up-looking numeric factorization followed by the two triangular solves —
+/// allocates nothing.
+#[derive(Debug, Clone)]
+pub struct SparseLdl {
+    /// `perm[k]` is the original row eliminated at step `k`.
+    perm: Vec<usize>,
+    /// Inverse of `perm`.
+    pinv: Vec<usize>,
+    /// Elimination-tree parent of each permuted column ([`NO_PARENT`] at a
+    /// root).
+    parent: Vec<usize>,
+    /// Column pointers of the strictly-lower part of `L`.
+    l_ptr: Vec<usize>,
+    /// Row indices and values of `L`, filled column by column.
+    l_idx: Vec<usize>,
+    l_val: Vec<f64>,
+    /// The diagonal `D`.
+    d: Vec<f64>,
+    // Numeric scratch: entries filled so far per column, the sparse
+    // accumulator row, the row's nonzero pattern and its visit flags.
+    l_len: Vec<usize>,
+    y: Vec<f64>,
+    pattern: Vec<usize>,
+    flag: Vec<usize>,
     /// The solution of the last successful solve.
     pub x: Vec<f64>,
 }
 
-/// Solves `A x = b` for SPD `A` by Jacobi-preconditioned conjugate gradient.
-///
-/// Returns `None` if the iteration fails to reach `tol` (relative residual)
-/// within `max_iter` steps or breaks down.
-pub fn conjugate_gradient(a: &SparseSym, b: &[f64], tol: f64, max_iter: usize) -> Option<Vec<f64>> {
-    let mut scratch = CgScratch::default();
-    conjugate_gradient_into(a, b, None, tol, max_iter, &mut scratch).then_some(scratch.x)
-}
-
-/// Warm-startable, allocation-free variant of [`conjugate_gradient`]: the
-/// iteration starts from `x0` (when given and of matching length) instead
-/// of zero, and every work vector lives in `scratch`. On success the
-/// solution is left in `scratch.x` and `true` is returned.
-pub fn conjugate_gradient_into(
-    a: &SparseSym,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    tol: f64,
-    max_iter: usize,
-    scratch: &mut CgScratch,
-) -> bool {
-    let n = a.dim();
-    assert_eq!(b.len(), n);
-    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if b_norm == 0.0 {
-        scratch.x.clear();
-        scratch.x.resize(n, 0.0);
-        return true;
-    }
-    scratch.inv_diag.clear();
-    scratch.inv_diag.extend(
-        (0..n)
-            .map(|i| a.get(i, i))
-            .map(|d| if d > 0.0 { 1.0 / d } else { 0.0 }),
-    );
-
-    // Initial guess and residual r = b - A x.
-    match x0 {
-        Some(guess) if guess.len() == n => {
-            scratch.x.clear();
-            scratch.x.extend_from_slice(guess);
-            scratch.ap.clear();
-            scratch.ap.resize(n, 0.0);
-            a.mul_vec(&scratch.x, &mut scratch.ap);
-            scratch.r.clear();
-            scratch
-                .r
-                .extend(b.iter().zip(&scratch.ap).map(|(bi, axi)| bi - axi));
+impl SparseLdl {
+    /// Symbolic analysis of `a`'s pattern (values are ignored): ordering,
+    /// elimination tree and column counts. `O(nnz(L))` after the ordering.
+    pub fn analyze(a: &SparseSym) -> SparseLdl {
+        let n = a.n;
+        let perm = minimum_degree(a);
+        let mut pinv = vec![0usize; n];
+        for (k, &row) in perm.iter().enumerate() {
+            pinv[row] = k;
         }
-        _ => {
-            scratch.x.clear();
-            scratch.x.resize(n, 0.0);
-            scratch.r.clear();
-            scratch.r.extend_from_slice(b);
+        // Elimination tree and column counts (Liu's algorithm, row by row
+        // over the permuted upper triangle).
+        let mut parent = vec![NO_PARENT; n];
+        let mut counts = vec![0usize; n];
+        let mut flag = vec![0usize; n];
+        for k in 0..n {
+            flag[k] = k;
+            for &col in a.row_cols(perm[k]) {
+                let mut i = pinv[col];
+                if i >= k {
+                    continue;
+                }
+                while flag[i] != k {
+                    if parent[i] == NO_PARENT {
+                        parent[i] = k;
+                    }
+                    counts[i] += 1;
+                    flag[i] = k;
+                    i = parent[i];
+                }
+            }
+        }
+        let mut l_ptr = vec![0usize; n + 1];
+        for k in 0..n {
+            l_ptr[k + 1] = l_ptr[k] + counts[k];
+        }
+        let l_nnz = l_ptr[n];
+        SparseLdl {
+            perm,
+            pinv,
+            parent,
+            l_ptr,
+            l_idx: vec![0; l_nnz],
+            l_val: vec![0.0; l_nnz],
+            d: vec![0.0; n],
+            l_len: counts,
+            y: vec![0.0; n],
+            pattern: vec![0; n],
+            flag,
+            x: vec![0.0; n],
         }
     }
-    scratch.z.clear();
-    scratch.z.extend(
-        scratch
-            .r
-            .iter()
-            .zip(&scratch.inv_diag)
-            .map(|(ri, di)| ri * di),
-    );
-    scratch.p.clear();
-    scratch.p.extend_from_slice(&scratch.z);
-    scratch.ap.clear();
-    scratch.ap.resize(n, 0.0);
 
-    let mut rz: f64 = scratch.r.iter().zip(&scratch.z).map(|(a, b)| a * b).sum();
+    /// The fill-reducing ordering: `ordering()[k]` is the row eliminated at
+    /// step `k`.
+    pub fn ordering(&self) -> &[usize] {
+        &self.perm
+    }
 
-    for _ in 0..max_iter {
-        // A warm start may already satisfy the tolerance.
-        let r_norm = scratch.r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if r_norm <= tol * b_norm {
-            return true;
-        }
-        a.mul_vec(&scratch.p, &mut scratch.ap);
-        let pap: f64 = scratch.p.iter().zip(&scratch.ap).map(|(a, b)| a * b).sum();
-        if pap <= 0.0 || !pap.is_finite() {
+    /// Stored entries of the strictly-lower factor `L`.
+    pub fn factor_nnz(&self) -> usize {
+        self.l_idx.len()
+    }
+
+    /// Factors `a` (which must have the pattern this was analyzed from) and
+    /// solves `A x = b` into [`SparseLdl::x`]. Returns `false` — leaving `x`
+    /// unspecified — on a non-positive or non-finite pivot, i.e. when `a` is
+    /// not positive definite.
+    pub fn solve_into(&mut self, a: &SparseSym, b: &[f64]) -> bool {
+        let n = self.perm.len();
+        assert_eq!(a.n, n, "matrix does not match the analyzed pattern");
+        assert_eq!(b.len(), n);
+        if !self.factor(a) {
             return false;
         }
-        let alpha = rz / pap;
-        for i in 0..n {
-            scratch.x[i] += alpha * scratch.p[i];
-            scratch.r[i] -= alpha * scratch.ap[i];
+        // x̂ = P b, then L z = x̂, D w = z, Lᵀ v = w, x = Pᵀ v (all in `y`).
+        for (k, &row) in self.perm.iter().enumerate() {
+            self.y[k] = b[row];
         }
-        let r_norm = scratch.r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if r_norm <= tol * b_norm {
-            return true;
+        for j in 0..n {
+            let yj = self.y[j];
+            for p in self.l_ptr[j]..self.l_ptr[j + 1] {
+                self.y[self.l_idx[p]] -= self.l_val[p] * yj;
+            }
         }
-        for i in 0..n {
-            scratch.z[i] = scratch.r[i] * scratch.inv_diag[i];
+        for (yj, dj) in self.y.iter_mut().zip(&self.d) {
+            *yj /= dj;
         }
-        let rz_new: f64 = scratch.r.iter().zip(&scratch.z).map(|(a, b)| a * b).sum();
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            scratch.p[i] = scratch.z[i] + beta * scratch.p[i];
+        for j in (0..n).rev() {
+            let mut yj = self.y[j];
+            for p in self.l_ptr[j]..self.l_ptr[j + 1] {
+                yj -= self.l_val[p] * self.y[self.l_idx[p]];
+            }
+            self.y[j] = yj;
+        }
+        for (k, &row) in self.perm.iter().enumerate() {
+            self.x[row] = self.y[k];
+            self.y[k] = 0.0;
+        }
+        true
+    }
+
+    /// Up-looking numeric factorization `P A Pᵀ = L D Lᵀ`: row `k` of `L`
+    /// is a sparse triangular solve whose pattern is the union of the
+    /// elimination-tree paths from the row's nonzeros up to `k`.
+    fn factor(&mut self, a: &SparseSym) -> bool {
+        let n = self.perm.len();
+        for k in 0..n {
+            let mut top = n;
+            self.flag[k] = k;
+            self.l_len[k] = 0;
+            let (lo, hi) = (a.row_ptr[self.perm[k]], a.row_ptr[self.perm[k] + 1]);
+            for slot in lo..hi {
+                let mut i = self.pinv[a.col_idx[slot]];
+                if i > k {
+                    continue;
+                }
+                self.y[i] += a.values[slot];
+                // Walk up the tree to the first visited node, then push
+                // the path so the pattern stays topologically ordered.
+                let mut len = 0;
+                while self.flag[i] != k {
+                    self.pattern[len] = i;
+                    len += 1;
+                    self.flag[i] = k;
+                    i = self.parent[i];
+                }
+                while len > 0 {
+                    len -= 1;
+                    top -= 1;
+                    self.pattern[top] = self.pattern[len];
+                }
+            }
+            let mut dk = self.y[k];
+            self.y[k] = 0.0;
+            for &i in &self.pattern[top..n] {
+                let yi = self.y[i];
+                self.y[i] = 0.0;
+                let (start, end) = (self.l_ptr[i], self.l_ptr[i] + self.l_len[i]);
+                for p in start..end {
+                    self.y[self.l_idx[p]] -= self.l_val[p] * yi;
+                }
+                let l_ki = yi / self.d[i];
+                dk -= l_ki * yi;
+                self.l_idx[end] = k;
+                self.l_val[end] = l_ki;
+                self.l_len[i] += 1;
+            }
+            // Every accumulator entry the row touched is back to zero here,
+            // so an early return leaves the buffers ready for the next call.
+            if dk <= 0.0 || !dk.is_finite() {
+                return false;
+            }
+            self.d[k] = dk;
+        }
+        true
+    }
+}
+
+/// Deterministic minimum-degree ordering of `a`'s pattern: repeatedly
+/// eliminates the vertex of least degree in the elimination graph (ties to
+/// the lowest row index) and joins its neighbours into a clique.
+fn minimum_degree(a: &SparseSym) -> Vec<usize> {
+    let n = a.n;
+    let mut adj: Vec<Vec<usize>> = (0..n)
+        .map(|i| a.row_cols(i).iter().copied().filter(|&j| j != i).collect())
+        .collect();
+    let mut queue: BTreeSet<(usize, usize)> = adj
+        .iter()
+        .enumerate()
+        .map(|(i, nb)| (nb.len(), i))
+        .collect();
+    // `stamp[w] == tick` marks `w` as already adjacent to the vertex being
+    // updated, so clique members are not added twice.
+    let mut stamp = vec![0usize; n];
+    let mut tick = 0;
+    let mut perm = Vec::with_capacity(n);
+    while let Some((_, v)) = queue.pop_first() {
+        perm.push(v);
+        let clique = std::mem::take(&mut adj[v]);
+        for &u in &clique {
+            queue.remove(&(adj[u].len(), u));
+            let nb = &mut adj[u];
+            nb.retain(|&w| w != v);
+            tick += 1;
+            for &w in nb.iter() {
+                stamp[w] = tick;
+            }
+            for &w in &clique {
+                if w != u && stamp[w] != tick {
+                    nb.push(w);
+                }
+            }
+            queue.insert((nb.len(), u));
         }
     }
-    false
+    perm
 }
 
 #[cfg(test)]
@@ -474,40 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_matvec_matches_dense() {
-        let n = 8;
-        let d = laplacian_dense(n);
-        let s = laplacian_sparse(n);
-        let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 1.0).collect();
-        let mut ys = vec![0.0; n];
-        s.mul_vec(&x, &mut ys);
-        for (i, ysi) in ys.iter().enumerate() {
-            let yd: f64 = (0..n).map(|j| d.get(i, j) * x[j]).sum();
-            assert!((ysi - yd).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn cg_matches_cholesky() {
-        let n = 30;
-        let d = laplacian_dense(n);
-        let s = laplacian_sparse(n);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
-        let xd = d.solve(&b).unwrap();
-        let xs = conjugate_gradient(&s, &b, 1e-12, 10 * n).unwrap();
-        for (a, b) in xd.iter().zip(&xs) {
-            assert!((a - b).abs() < 1e-8, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn cg_zero_rhs_returns_zero() {
-        let s = laplacian_sparse(5);
-        let x = conjugate_gradient(&s, &[0.0; 5], 1e-12, 100).unwrap();
-        assert!(x.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn symbolic_pattern_matches_builder_and_slots_resolve() {
         let n = 6;
         let pairs: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
@@ -533,47 +611,140 @@ mod tests {
         assert_eq!(m.nnz(), reference.nnz());
     }
 
-    #[test]
-    fn warm_started_cg_converges_fast_and_matches_cold() {
-        let n = 40;
-        let s = laplacian_sparse(n);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 3) % 7) as f64 - 3.0).collect();
-        let cold = conjugate_gradient(&s, &b, 1e-12, 10 * n).unwrap();
-        // Warm start from the exact solution: must verify convergence
-        // without moving.
-        let mut scratch = CgScratch::default();
-        assert!(conjugate_gradient_into(
-            &s,
-            &b,
-            Some(&cold),
-            1e-12,
-            1,
-            &mut scratch
-        ));
-        for (a, b) in cold.iter().zip(&scratch.x) {
-            assert!((a - b).abs() < 1e-10);
+    /// A looped `side × side` grid Laplacian grounded at row 0, with
+    /// distinct weights (offset by `base`) so the ordering and the values
+    /// both matter.
+    fn grid_sparse(side: usize, base: f64) -> SparseSym {
+        let n = side * side;
+        let mut b = SparseBuilder::new(n);
+        let mut couple = |i: usize, j: usize, w: f64| {
+            b.add_sym(i, i, w);
+            b.add_sym(j, j, w);
+            b.add_sym(i, j, -w);
+        };
+        for r in 0..side {
+            for c in 0..side {
+                let i = r * side + c;
+                let w = base + ((i * 5) % 7) as f64 * 0.25;
+                if c + 1 < side {
+                    couple(i, i + 1, w);
+                }
+                if r + 1 < side {
+                    couple(i, i + side, 0.5 * w);
+                }
+            }
         }
-        // Warm start from a perturbed solution: same answer as cold.
-        let perturbed: Vec<f64> = cold.iter().map(|v| v + 1e-3).collect();
-        assert!(conjugate_gradient_into(
-            &s,
-            &b,
-            Some(&perturbed),
-            1e-12,
-            10 * n,
-            &mut scratch
-        ));
-        for (a, b) in cold.iter().zip(&scratch.x) {
-            assert!((a - b).abs() < 1e-8);
+        b.add_sym(0, 0, 3.0);
+        b.build()
+    }
+
+    fn to_dense(s: &SparseSym) -> DenseSpd {
+        let n = s.dim();
+        let mut d = DenseSpd::zeros(n);
+        for i in 0..n {
+            for j in 0..=i {
+                let v = s.get(i, j);
+                if v != 0.0 {
+                    d.add_sym(i, j, v);
+                }
+            }
+        }
+        d
+    }
+
+    fn assert_ldl_matches_cholesky(s: &SparseSym) {
+        let n = s.dim();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
+        let xd = to_dense(s).solve(&b).unwrap();
+        let mut ldl = SparseLdl::analyze(s);
+        assert!(ldl.solve_into(s, &b));
+        for (a, b) in xd.iter().zip(&ldl.x) {
+            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
         }
     }
 
     #[test]
-    fn cg_fails_gracefully_on_indefinite() {
-        let mut b = SparseBuilder::new(2);
-        b.add_sym(0, 0, 1.0);
-        b.add_sym(1, 1, -1.0);
-        let m = b.build();
-        assert!(conjugate_gradient(&m, &[1.0, 1.0], 1e-12, 100).is_none());
+    fn ldl_matches_cholesky() {
+        assert_ldl_matches_cholesky(&laplacian_sparse(30));
+        assert_ldl_matches_cholesky(&grid_sparse(7, 1.0));
+    }
+
+    #[test]
+    fn ldl_refactors_new_values_on_one_analysis() {
+        let first = grid_sparse(6, 1.0);
+        let b: Vec<f64> = (0..first.dim()).map(|i| (i as f64).cos()).collect();
+        let mut ldl = SparseLdl::analyze(&first);
+        assert!(ldl.solve_into(&first, &b));
+        // Same pattern, new values: the cached analysis still applies.
+        let s = grid_sparse(6, 3.0);
+        assert!(ldl.solve_into(&s, &b));
+        let xd = to_dense(&s).solve(&b).unwrap();
+        for (a, b) in xd.iter().zip(&ldl.x) {
+            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+        }
+        // A fresh analysis of the same pattern gives the same bits.
+        let mut fresh = SparseLdl::analyze(&s);
+        assert!(fresh.solve_into(&s, &b));
+        assert_eq!(fresh.x, ldl.x);
+    }
+
+    #[test]
+    fn ldl_zero_rhs_returns_zero() {
+        let s = laplacian_sparse(5);
+        let mut ldl = SparseLdl::analyze(&s);
+        assert!(ldl.solve_into(&s, &[0.0; 5]));
+        assert!(ldl.x.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn ordering_is_a_deterministic_permutation() {
+        let s = grid_sparse(8, 1.0);
+        let first = SparseLdl::analyze(&s);
+        let mut seen = first.ordering().to_vec();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..s.dim()).collect::<Vec<_>>());
+        assert_eq!(first.ordering(), SparseLdl::analyze(&s).ordering());
+    }
+
+    #[test]
+    fn tree_pattern_has_zero_fill() {
+        // A binary tree rooted at 0, numbered so the natural order would
+        // fill (the root is eliminated first).
+        let n = 31;
+        let pairs: Vec<(usize, usize)> = (1..n).map(|i| ((i - 1) / 2, i)).collect();
+        let s = SparseSym::symbolic(n, &pairs);
+        let ldl = SparseLdl::analyze(&s);
+        assert_eq!(ldl.factor_nnz(), pairs.len());
+    }
+
+    #[test]
+    fn ldl_rejects_zero_row_and_indefinite() {
+        // Row 1 is all zero.
+        let mut zero_row = SparseBuilder::new(3);
+        zero_row.add_sym(0, 0, 2.0);
+        zero_row.add_sym(1, 1, 0.0);
+        zero_row.add_sym(2, 2, 2.0);
+        zero_row.add_sym(0, 2, -1.0);
+        let zero_row = zero_row.build();
+        let mut indefinite = SparseBuilder::new(2);
+        indefinite.add_sym(0, 0, 1.0);
+        indefinite.add_sym(1, 1, -1.0);
+        let indefinite = indefinite.build();
+        for mut m in [zero_row, indefinite] {
+            let mut ldl = SparseLdl::analyze(&m);
+            let b = vec![1.0; m.dim()];
+            assert!(!ldl.solve_into(&m, &b));
+            // The failed call leaves the buffers reusable: make the same
+            // pattern positive definite and solve again.
+            for i in 0..m.dim() {
+                let d = m.slot_of(i, i).unwrap();
+                m.values[d] = 4.0;
+            }
+            assert!(ldl.solve_into(&m, &b));
+            let xd = to_dense(&m).solve(&b).unwrap();
+            for (a, b) in xd.iter().zip(&ldl.x) {
+                assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+            }
+        }
     }
 }

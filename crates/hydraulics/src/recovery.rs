@@ -3,10 +3,10 @@
 //! Phase-I corpus generation solves tens of thousands of perturbed
 //! scenarios; a handful inevitably land in the solver's bad spots — a warm
 //! start from the wrong basin, a limit cycle between big emitters and
-//! flapping check valves, a conjugate-gradient breakdown on a borderline
-//! matrix. Aborting a 20k-scenario build on any of those is not acceptable
-//! for a production pipeline, so [`solve_snapshot_recovering`] climbs a
-//! short deterministic ladder before giving up:
+//! flapping check valves, a non-positive pivot on a borderline matrix.
+//! Aborting a 20k-scenario build on any of those is not acceptable for a
+//! production pipeline, so [`solve_snapshot_recovering`] climbs a short
+//! deterministic ladder before giving up:
 //!
 //! 1. **Cold restart** — on [`HydraulicError::NotConverged`] or
 //!    [`HydraulicError::NumericalBlowup`] with a warm start set, discard the
@@ -17,8 +17,8 @@
 //!    budget by [`ESCALATION_BUDGET_FACTOR`]; under-relaxation breaks the
 //!    oscillation-type divergences that a bigger budget alone never fixes.
 //! 3. **Dense fallback** — on [`HydraulicError::LinearSolveFailed`] under
-//!    the CG backend, retry with dense Cholesky, which factors borderline
-//!    matrices CG gives up on.
+//!    the sparse `LDLᵀ` backend, retry once with dense Cholesky, an
+//!    independent factorization of the same matrix.
 //!
 //! Every rung fires at most once per solve and the actions taken are
 //! recorded in a [`SolveReport`], so callers (and the robustness bench) can
@@ -31,7 +31,7 @@ use aqua_telemetry::TelemetryCtx;
 use crate::error::HydraulicError;
 use crate::scenario::Scenario;
 use crate::snapshot::Snapshot;
-use crate::solver::{effective_backend, solve_snapshot_traced, LinearBackend, SolverOptions};
+use crate::solver::{solve_snapshot_traced, LinearBackend, SolverOptions};
 use crate::workspace::SolverWorkspace;
 
 /// Iteration-budget multiplier applied by the escalation rung.
@@ -51,7 +51,7 @@ pub enum RecoveryAction {
         /// Iteration budget used for the retry.
         max_iterations: usize,
     },
-    /// The CG linear backend was swapped for dense Cholesky.
+    /// The sparse linear backend was swapped for dense Cholesky.
     DenseFallback,
 }
 
@@ -122,7 +122,6 @@ fn next_rung(
     warm_start_set: bool,
     taken: &[RecoveryAction],
     base: &SolverOptions,
-    n_junctions: usize,
 ) -> Option<RecoveryAction> {
     match err {
         HydraulicError::NotConverged { .. } | HydraulicError::NumericalBlowup => {
@@ -138,8 +137,7 @@ fn next_rung(
             }
         }
         HydraulicError::LinearSolveFailed { .. } => {
-            let already_dense =
-                effective_backend(base.backend, n_junctions) == LinearBackend::Dense;
+            let already_dense = base.backend == LinearBackend::Dense;
             if !already_dense && !taken.iter().any(RecoveryAction::is_dense_fallback) {
                 Some(RecoveryAction::DenseFallback)
             } else {
@@ -211,13 +209,7 @@ pub fn solve_snapshot_recovering_traced(
             }
             Err(err) => {
                 let warm_set = ws.warm_start().is_some();
-                let Some(action) = next_rung(
-                    &err,
-                    warm_set,
-                    &report.recoveries,
-                    opts,
-                    ws.junction_count(),
-                ) else {
+                let Some(action) = next_rung(&err, warm_set, &report.recoveries, opts) else {
                     return Err(err);
                 };
                 match action {
@@ -345,12 +337,12 @@ mod tests {
         };
         // Warm set, nothing taken: cold restart first.
         assert_eq!(
-            next_rung(&not_converged, true, &[], &base, 500),
+            next_rung(&not_converged, true, &[], &base),
             Some(RecoveryAction::ColdRestart)
         );
         // No warm start: straight to escalation.
         assert!(matches!(
-            next_rung(&not_converged, false, &[], &base, 500),
+            next_rung(&not_converged, false, &[], &base),
             Some(RecoveryAction::Escalated { .. })
         ));
         // After cold restart + escalation: exhausted.
@@ -361,21 +353,34 @@ mod tests {
                 max_iterations: 1600,
             },
         ];
-        assert_eq!(next_rung(&not_converged, false, &taken, &base, 500), None);
+        assert_eq!(next_rung(&not_converged, false, &taken, &base), None);
 
-        // Linear failures: CG (big network under Auto) falls back to dense.
+        // Linear failures: Auto runs the sparse backend at every network
+        // size, so it falls back to dense exactly once.
         let linear = HydraulicError::LinearSolveFailed { detail: "x" };
-        assert_eq!(
-            next_rung(&linear, false, &[], &base, 500),
-            Some(RecoveryAction::DenseFallback)
-        );
-        // Already dense (small network under Auto): nothing left.
-        assert_eq!(next_rung(&linear, false, &[], &base, 50), None);
+        for backend in [LinearBackend::Auto, LinearBackend::Sparse] {
+            let opts = SolverOptions {
+                backend,
+                ..Default::default()
+            };
+            assert_eq!(
+                next_rung(&linear, false, &[], &opts),
+                Some(RecoveryAction::DenseFallback),
+                "{backend:?}"
+            );
+            assert_eq!(
+                next_rung(&linear, false, &[RecoveryAction::DenseFallback], &opts),
+                None
+            );
+        }
+        // Already dense: nothing left.
+        let dense = SolverOptions {
+            backend: LinearBackend::Dense,
+            ..Default::default()
+        };
+        assert_eq!(next_rung(&linear, false, &[], &dense), None);
         // Structural errors never retry.
-        assert_eq!(
-            next_rung(&HydraulicError::NoSource, true, &[], &base, 500),
-            None
-        );
+        assert_eq!(next_rung(&HydraulicError::NoSource, true, &[], &base), None);
     }
 
     #[test]
@@ -460,7 +465,7 @@ mod tests {
     fn blowup_is_treated_as_recoverable() {
         let base = SolverOptions::default();
         assert!(matches!(
-            next_rung(&HydraulicError::NumericalBlowup, false, &[], &base, 500),
+            next_rung(&HydraulicError::NumericalBlowup, false, &[], &base),
             Some(RecoveryAction::Escalated { .. })
         ));
     }

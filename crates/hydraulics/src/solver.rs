@@ -22,13 +22,14 @@ use crate::workspace::SolverWorkspace;
 /// Which linear-solver backend the GGA inner loop uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinearBackend {
-    /// Dense Cholesky — `O(n³)` but cache-friendly; best for small networks.
+    /// Dense Cholesky — `O(n³)`; the reference oracle and the recovery
+    /// ladder's fallback.
     Dense,
-    /// Jacobi-preconditioned conjugate gradient on CSR — scales to large
-    /// networks.
-    SparseCg,
-    /// Dense below 150 junctions, sparse above (the crossover measured in
-    /// the backend ablation bench).
+    /// Sparse `LDLᵀ` on the workspace's CSR pattern, analyzed once per
+    /// workspace and refactored every Newton iteration.
+    Sparse,
+    /// The production choice: [`LinearBackend::Sparse`] at every network
+    /// size.
     #[default]
     Auto,
 }
@@ -94,10 +95,11 @@ pub fn solve_snapshot(
 }
 
 /// [`solve_snapshot`] against a cached [`SolverWorkspace`]: the symbolic
-/// CSR structure and every scratch buffer come from `ws` (zero assembly
-/// sort/alloc per iteration), the Newton iteration seeds from `ws`'s warm
-/// start when one is set and dimensionally valid, and on success the
-/// converged solution is stored back as the next solve's warm start.
+/// CSR structure, its `LDLᵀ` analysis and every scratch buffer come from
+/// `ws` (zero assembly sort/alloc per iteration), the Newton iteration
+/// seeds from `ws`'s warm start when one is set and dimensionally valid,
+/// and on success the converged solution is stored back as the next
+/// solve's warm start.
 ///
 /// # Errors
 ///
@@ -355,11 +357,10 @@ fn solve_core(
 
         // Matrix assembly + linear solve happen inside the workspace,
         // writing conductances through the cached CSR slot map.
-        let use_dense = effective_backend(opts.backend, n_junc) == LinearBackend::Dense;
         if opts.damping < 1.0 {
             prev_heads.copy_from_slice(&ws.heads);
         }
-        ws.solve_linear_into_heads(use_dense)?;
+        ws.solve_linear_into_heads(opts.backend == LinearBackend::Dense)?;
         if opts.damping < 1.0 {
             // Blend junction heads toward the solve output; fixed heads are
             // untouched (the solve never rewrites them).
@@ -456,19 +457,6 @@ fn solve_core(
         emitter_flows,
         iterations,
     })
-}
-
-pub(crate) fn effective_backend(requested: LinearBackend, n_junc: usize) -> LinearBackend {
-    match requested {
-        LinearBackend::Auto => {
-            if n_junc <= 150 {
-                LinearBackend::Dense
-            } else {
-                LinearBackend::SparseCg
-            }
-        }
-        other => other,
-    }
 }
 
 #[cfg(test)]
@@ -683,6 +671,45 @@ mod tests {
     // `dense_and_sparse_backends_agree` was promoted to a proptest over
     // randomized synth networks exercising the workspace path — see
     // tests/warm_start_props.rs.
+
+    /// Dense Cholesky is the oracle for the sparse `LDLᵀ` path: on both
+    /// evaluation networks and a fixed set of leak scenarios the two
+    /// backends take the same Newton path and agree on heads to 1e-6 m.
+    #[test]
+    fn sparse_ldl_matches_dense_oracle_on_evaluation_networks() {
+        for (net, sites) in [
+            (aqua_net::synth::epa_net(), [3usize, 20, 45, 70, 88]),
+            (aqua_net::synth::wssc_subnet(), [10, 77, 120, 201, 250]),
+        ] {
+            let junctions = net.junction_ids();
+            let mut scenarios = vec![Scenario::default()];
+            scenarios.extend(sites.iter().enumerate().map(|(k, &s)| {
+                Scenario::new().with_leak(LeakEvent::new(junctions[s], 0.002 + 0.003 * k as f64, 0))
+            }));
+            scenarios.push(
+                Scenario::new().with_leaks(
+                    sites
+                        .iter()
+                        .map(|&s| LeakEvent::new(junctions[s], 0.004, 0)),
+                ),
+            );
+            for scenario in &scenarios {
+                let solve = |backend| {
+                    let opts = SolverOptions {
+                        backend,
+                        ..Default::default()
+                    };
+                    solve_snapshot(&net, scenario, 0, &opts).unwrap()
+                };
+                let dense = solve(LinearBackend::Dense);
+                let sparse = solve(LinearBackend::Sparse);
+                assert_eq!(sparse.iterations, dense.iterations, "{}", net.name());
+                for (a, b) in dense.heads.iter().zip(&sparse.heads) {
+                    assert!((a - b).abs() < 1e-6, "{}: dense {a} sparse {b}", net.name());
+                }
+            }
+        }
+    }
 
     #[test]
     fn all_junctions_pressurized_on_both_networks() {

@@ -17,13 +17,15 @@
 //! [`SolverWorkspace`] fixes both: it caches the CSR symbolic structure
 //! together with a link→slot assembly map (so each iteration scatters
 //! conductances straight into the value array with zero sorting or
-//! allocation), keeps every dense/CG/scratch buffer alive across solves,
-//! and threads a [`WarmStart`] from each converged solve into the next.
+//! allocation) and, beside it, the sparse `LDLᵀ` symbolic analysis
+//! (ordering, elimination tree, factor buffers), keeps every scratch buffer
+//! alive across solves, and threads a [`WarmStart`] from each converged
+//! solve into the next.
 
 use aqua_net::{Network, NodeId};
 
 use crate::error::HydraulicError;
-use crate::linalg::{conjugate_gradient_into, CgScratch, DenseScratch, DenseSpd, SparseSym};
+use crate::linalg::{DenseScratch, DenseSpd, SparseLdl, SparseSym};
 use crate::snapshot::Snapshot;
 
 /// A converged solution used to seed the next solve's Newton iteration.
@@ -59,10 +61,11 @@ pub(crate) struct LinkSlots {
     pub(crate) off: Option<(usize, usize)>,
 }
 
-/// Reusable per-network solver state: symbolic CSR structure, assembly slot
-/// maps, linear-solver scratch, per-iteration buffers and the warm-start
-/// chain. Create once per network (per thread), then pass to
-/// [`solve_snapshot_with`](crate::solve_snapshot_with) for every solve.
+/// Reusable per-network solver state: symbolic CSR structure and its `LDLᵀ`
+/// analysis, assembly slot maps, linear-solver scratch, per-iteration
+/// buffers and the warm-start chain. Create once per network (per thread),
+/// then pass to [`solve_snapshot_with`](crate::solve_snapshot_with) for
+/// every solve.
 ///
 /// # Example
 ///
@@ -98,13 +101,13 @@ pub struct SolverWorkspace {
     link_slots: Vec<LinkSlots>,
     /// Per-junction-row CSR slot of the diagonal entry.
     diag_slot: Vec<usize>,
+    /// Sparse `LDLᵀ` analyzed once from `sparse`'s pattern, refactored on
+    /// every sparse solve.
+    ldl: SparseLdl,
 
     /// Dense normal matrix, allocated lazily on first dense solve.
     dense: DenseSpd,
     dense_scratch: DenseScratch,
-    cg_scratch: CgScratch,
-    /// CG initial guess, gathered from the current junction heads.
-    x0: Vec<f64>,
 
     // Per-solve buffers (see solver.rs for their roles).
     pub(crate) p_link: Vec<f64>,
@@ -121,8 +124,9 @@ pub struct SolverWorkspace {
 
 impl SolverWorkspace {
     /// Builds the workspace for `net`: junction indexing, the symbolic CSR
-    /// pattern, and the link→slot assembly map. `O(links · log(row nnz))`,
-    /// paid once per network instead of once per Newton iteration.
+    /// pattern, the link→slot assembly map and the `LDLᵀ` analysis (ordering,
+    /// elimination tree, column counts) — paid once per network instead of
+    /// once per Newton iteration.
     pub fn new(net: &Network) -> Self {
         let n_nodes = net.node_count();
         let n_links = net.link_count();
@@ -171,6 +175,7 @@ impl SolverWorkspace {
                 },
             })
             .collect();
+        let ldl = SparseLdl::analyze(&sparse);
 
         SolverWorkspace {
             n_nodes,
@@ -182,10 +187,9 @@ impl SolverWorkspace {
             sparse,
             link_slots,
             diag_slot,
+            ldl,
             dense: DenseSpd::zeros(0),
             dense_scratch: DenseScratch::default(),
-            cg_scratch: CgScratch::default(),
-            x0: Vec::new(),
             p_link: vec![0.0; n_links],
             s_link: vec![0.0; n_links],
             rhs: vec![0.0; n_junc],
@@ -255,7 +259,8 @@ impl SolverWorkspace {
 
     /// Assembles the normal matrix from `emitter_diag` + `p_link` and
     /// solves it against `rhs`, scattering the junction heads back into
-    /// `heads`. Zero allocation after the first call on each backend path.
+    /// `heads`. The sparse path allocates nothing; the dense path allocates
+    /// only on its first call.
     pub(crate) fn solve_linear_into_heads(
         &mut self,
         use_dense: bool,
@@ -312,25 +317,12 @@ impl SolverWorkspace {
                     self.sparse.add_at(ba, -p);
                 }
             }
-            // Warm-start CG from the current junction heads — after the
-            // first Newton iteration (or under a scenario warm start) they
-            // are already close to the solution.
-            self.x0.clear();
-            self.x0
-                .extend(self.junctions.iter().map(|&j| self.heads[j.index()]));
-            if !conjugate_gradient_into(
-                &self.sparse,
-                &self.rhs,
-                Some(&self.x0),
-                1e-12,
-                20 * n_junc.max(50),
-                &mut self.cg_scratch,
-            ) {
+            if !self.ldl.solve_into(&self.sparse, &self.rhs) {
                 return Err(HydraulicError::LinearSolveFailed {
                     detail: "normal matrix not positive definite (isolated junction?)",
                 });
             }
-            &self.cg_scratch.x
+            &self.ldl.x
         };
         if solution.iter().any(|h| !h.is_finite()) {
             return Err(HydraulicError::NumericalBlowup);
@@ -401,6 +393,30 @@ mod tests {
         )
         .unwrap();
         assert!(snap.heads.iter().all(|h| h.is_finite()));
+    }
+
+    #[test]
+    fn singular_or_indefinite_matrix_fails_without_touching_heads() {
+        let net = aqua_net::synth::epa_net();
+        let mut ws = SolverWorkspace::new(&net);
+        ws.rhs.fill(1.0);
+        ws.emitter_diag.fill(0.0);
+        // Zero conductances leave every row zero; negative ones make the
+        // matrix negative definite.
+        for p in [0.0, -1.0] {
+            ws.p_link.fill(p);
+            let before = ws.heads.clone();
+            for use_dense in [false, true] {
+                assert!(
+                    matches!(
+                        ws.solve_linear_into_heads(use_dense),
+                        Err(HydraulicError::LinearSolveFailed { .. })
+                    ),
+                    "p = {p}, dense = {use_dense}"
+                );
+                assert_eq!(ws.heads, before);
+            }
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ proptest! {
     #[test]
     fn dense_and_sparse_backends_agree((net, seed) in arbitrary_grid(), ec in 0.002f64..0.02) {
         let dense = SolverOptions { backend: LinearBackend::Dense, ..Default::default() };
-        let sparse = SolverOptions { backend: LinearBackend::SparseCg, ..Default::default() };
+        let sparse = SolverOptions { backend: LinearBackend::Sparse, ..Default::default() };
         let scenario = leak_scenario(&net, seed, ec);
         let mut ws_dense = SolverWorkspace::new(&net);
         let mut ws_sparse = SolverWorkspace::new(&net);

@@ -48,7 +48,7 @@ proptest! {
     #[test]
     fn backends_agree_on_random_networks((net, _seed) in arbitrary_grid()) {
         let dense = SolverOptions { backend: LinearBackend::Dense, ..Default::default() };
-        let sparse = SolverOptions { backend: LinearBackend::SparseCg, ..Default::default() };
+        let sparse = SolverOptions { backend: LinearBackend::Sparse, ..Default::default() };
         let a = solve_snapshot(&net, &Scenario::default(), 0, &dense).unwrap();
         let b = solve_snapshot(&net, &Scenario::default(), 0, &sparse).unwrap();
         for (ha, hb) in a.heads.iter().zip(&b.heads) {
