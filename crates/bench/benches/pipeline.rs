@@ -63,27 +63,34 @@ fn fusion_tuning(c: &mut Criterion) {
     });
 }
 
+/// Single-row Phase II latency (`AquaScale::infer`) on the default
+/// HybridRSL profile, on both evaluation networks: 91 outputs on EPA-NET,
+/// 298 on WSSC.
 fn phase2_latency(c: &mut Criterion) {
-    let net = synth::epa_net();
-    let config = AquaScaleConfig {
-        model: ModelKind::hybrid_rsl(),
-        train_samples: 600,
-        threads: 8,
-        ..Default::default()
-    };
-    let aqua = AquaScale::new(&net, config);
-    let profile = aqua.train_profile().expect("phase I");
-    let test = aqua.generate_dataset(4, 99).expect("events");
-    c.bench_function("phase2_inference_epa_net_hybrid", |b| {
-        b.iter(|| {
-            aqua.infer(
-                &profile,
-                black_box(test.x.row(0)),
-                &ExternalObservations::none(),
-            )
-            .unwrap()
-        })
-    });
+    for (name, net) in [
+        ("phase2_inference_epa_net_hybrid", synth::epa_net()),
+        ("phase2_inference_wssc_hybrid", synth::wssc_subnet()),
+    ] {
+        let config = AquaScaleConfig {
+            model: ModelKind::hybrid_rsl(),
+            train_samples: 600,
+            threads: 8,
+            ..Default::default()
+        };
+        let aqua = AquaScale::new(&net, config);
+        let profile = aqua.train_profile().expect("phase I");
+        let test = aqua.generate_dataset(4, 99).expect("events");
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                aqua.infer(
+                    &profile,
+                    black_box(test.x.row(0)),
+                    &ExternalObservations::none(),
+                )
+                .unwrap()
+            })
+        });
+    }
 }
 
 criterion_group!(

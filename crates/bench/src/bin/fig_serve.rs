@@ -262,10 +262,11 @@ fn main() {
     let (train_samples, slots) = if smoke() { (40, 8) } else { (120, 24) };
     let net = synth::epa_net();
 
-    // Phase I once, then through the artifact container — the servers all
-    // host decoded copies, so the bench also covers the save/load path.
+    // Phase I once, on the default HybridRSL profile, then through the
+    // artifact container — the servers all host decoded copies, so the
+    // bench also covers the save/load path.
     let config = AquaScaleConfig {
-        model: ModelKind::LinearR,
+        model: ModelKind::hybrid_rsl(),
         train_samples,
         threads: 4,
         ..AquaScaleConfig::default()

@@ -308,7 +308,7 @@ impl<'a> AquaScale<'a> {
     ) -> Result<Inference, AquaError> {
         let start = self.clock.now_ns();
         let mut row = features.to_vec();
-        profile.scaler.transform_row(&mut row);
+        profile.scaler.transform_row(&mut row)?;
         let p1 = profile.model.predict_proba_one(&row)?;
         let predicted: Vec<bool> = p1.iter().map(|&p| p > 0.5).collect();
 

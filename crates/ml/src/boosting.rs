@@ -12,12 +12,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::binned::BinnedDataset;
-use crate::classifier::util::{check_fit, check_predict, sigmoid};
+use crate::classifier::util::{check_fit, check_predict, check_width, sigmoid};
 use crate::classifier::Classifier;
 use crate::dataset::holdout_indices;
 use crate::error::MlError;
 use crate::matrix::Matrix;
-use crate::tree::{Criterion, DecisionTreeConfig, GrownTree, SplitStrategy};
+use crate::tree::{Criterion, DecisionTreeConfig, SplitStrategy, TreeArena};
 
 /// Below this many training samples, early stopping deactivates: a holdout
 /// carved from a tiny set is too noisy to govern round counts.
@@ -143,7 +143,7 @@ pub struct GradientBoosting {
     config: GradientBoostingConfig,
     seed: u64,
     init_score: f64,
-    stages: Vec<GrownTree>,
+    stages: TreeArena,
     n_features: Option<usize>,
 }
 
@@ -154,7 +154,7 @@ impl GradientBoosting {
             config,
             seed,
             init_score: 0.0,
-            stages: Vec::new(),
+            stages: TreeArena::new(0),
             n_features: None,
         }
     }
@@ -164,13 +164,15 @@ impl GradientBoosting {
         self.stages.len()
     }
 
-    fn raw_score(&self, row: &[f64]) -> f64 {
-        self.init_score
-            + self
-                .stages
-                .iter()
-                .map(|t| self.config.learning_rate * t.predict_one(row))
-                .sum::<f64>()
+    /// `σ(F)` for one row, the stage trees walked in lockstep; `row` must
+    /// be as wide as the training matrix.
+    fn proba_row(&self, row: &[f64]) -> f64 {
+        let stages = self
+            .stages
+            .leaf_values(row)
+            .map(|leaf| self.config.learning_rate * leaf)
+            .sum::<f64>();
+        sigmoid(self.init_score + stages)
     }
 }
 
@@ -205,7 +207,7 @@ impl GradientBoosting {
         // Initial log-odds (clamped away from ±∞ for single-class sets).
         let p0 = (n_pos as f64 / n as f64).clamp(1e-4, 1.0 - 1e-4);
         self.init_score = (p0 / (1.0 - p0)).ln();
-        self.stages.clear();
+        self.stages = TreeArena::new(x.cols());
         self.n_features = Some(x.cols());
 
         let owned: BinnedDataset;
@@ -252,8 +254,8 @@ impl GradientBoosting {
                 .zip(y)
                 .map(|(&f, &yi)| yi as f64 - sigmoid(f))
                 .collect();
-            let tree = match binned {
-                Some(b) => GrownTree::grow_binned(
+            match binned {
+                Some(b) => self.stages.grow_binned(
                     b,
                     &residuals,
                     &train_idx,
@@ -261,7 +263,7 @@ impl GradientBoosting {
                     &tree_config,
                     &mut rng,
                 ),
-                None => GrownTree::grow(
+                None => self.stages.grow(
                     x,
                     &residuals,
                     &train_idx,
@@ -269,14 +271,14 @@ impl GradientBoosting {
                     &tree_config,
                     &mut rng,
                 ),
-            };
+            }
+            let stage = self.stages.len() - 1;
             for (i, score) in scores.iter_mut().enumerate() {
-                *score += self.config.learning_rate * tree.predict_one(x.row(i));
+                *score += self.config.learning_rate * self.stages.predict_one(stage, x.row(i));
                 if !score.is_finite() {
                     return Err(MlError::Diverged);
                 }
             }
-            self.stages.push(tree);
             if !holdout_idx.is_empty() {
                 let loss = Self::holdout_loss(&scores, y, &holdout_idx);
                 if loss < best_loss - 1e-12 {
@@ -295,6 +297,7 @@ impl GradientBoosting {
             // Rewind to the best validation round (at least one stage).
             self.stages.truncate(best_len.max(1));
         }
+        self.stages.shrink_to_fit();
         Ok(())
     }
 }
@@ -313,9 +316,15 @@ impl Classifier for GradientBoosting {
             return Err(MlError::NotFitted);
         }
         check_predict(x, self.n_features)?;
-        Ok(x.iter_rows()
-            .map(|row| sigmoid(self.raw_score(row)))
-            .collect())
+        Ok(x.iter_rows().map(|row| self.proba_row(row)).collect())
+    }
+
+    fn predict_proba_row(&self, row: &[f64], _margin: Option<f64>) -> Result<f64, MlError> {
+        if self.stages.is_empty() {
+            return Err(MlError::NotFitted);
+        }
+        check_width(row.len(), self.n_features)?;
+        Ok(self.proba_row(row))
     }
 
     fn boosting_rounds(&self) -> Option<usize> {
@@ -357,13 +366,15 @@ impl Codec for GradientBoosting {
         self.n_features.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        Ok(GradientBoosting {
+        let model = GradientBoosting {
             config: Codec::decode(r)?,
             seed: r.u64()?,
             init_score: r.f64()?,
             stages: Codec::decode(r)?,
             n_features: Codec::decode(r)?,
-        })
+        };
+        model.stages.check_width(model.n_features)?;
+        Ok(model)
     }
 }
 

@@ -51,6 +51,29 @@ pub trait Classifier: Send + Sync {
     /// when `x` has a different column count than the training matrix.
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError>;
 
+    /// Probability of the positive class for one feature row, bit for bit
+    /// what [`predict_proba`](Self::predict_proba) gives that row, without
+    /// building a matrix. This is the per-output step of
+    /// [`crate::MultiOutputModel::predict_proba_one`].
+    ///
+    /// `margin` is `Some` only when the caller has already computed the
+    /// row's linear margin under [`margin_weights`](Self::margin_weights);
+    /// models without margin weights ignore it.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`predict_proba`](Self::predict_proba).
+    fn predict_proba_row(&self, row: &[f64], margin: Option<f64>) -> Result<f64, MlError>;
+
+    /// The weights `[w_0, …, w_{d−1}, bias]` of the linear margin
+    /// `bias + Σ xᵢ·wᵢ` (summed bias first, then features in order) this
+    /// model's probability is a function of, when it has one.
+    /// [`crate::MultiOutputModel`] stacks them across outputs so one pass
+    /// over a row computes every output's margin.
+    fn margin_weights(&self) -> Option<&[f64]> {
+        None
+    }
+
     /// Hard 0/1 predictions (`predict_proba` thresholded at 0.5).
     fn predict(&self, x: &Matrix) -> Result<Vec<u8>, MlError> {
         Ok(self
@@ -58,6 +81,17 @@ pub trait Classifier: Send + Sync {
             .into_iter()
             .map(|p| u8::from(p > 0.5))
             .collect())
+    }
+
+    /// Hard 0/1 prediction for one feature row, what
+    /// [`predict`](Self::predict) gives that row; `margin` as in
+    /// [`predict_proba_row`](Self::predict_proba_row).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`predict_proba`](Self::predict_proba).
+    fn predict_row(&self, row: &[f64], margin: Option<f64>) -> Result<u8, MlError> {
+        Ok(u8::from(self.predict_proba_row(row, margin)? > 0.5))
     }
 
     /// Boosting rounds actually fitted, for model families that boost
@@ -320,14 +354,41 @@ pub(crate) mod util {
 
     /// Validates `predict` inputs against the trained feature count.
     pub fn check_predict(x: &Matrix, trained_cols: Option<usize>) -> Result<usize, MlError> {
-        let cols = trained_cols.ok_or(MlError::NotFitted)?;
-        if x.cols() != cols {
-            return Err(MlError::FeatureMismatch {
-                expected: cols,
-                got: x.cols(),
-            });
+        check_width(x.cols(), trained_cols)?;
+        Ok(x.cols())
+    }
+
+    /// Validates the width of one `predict` row against the trained
+    /// feature count.
+    pub fn check_width(got: usize, trained_cols: Option<usize>) -> Result<(), MlError> {
+        let expected = trained_cols.ok_or(MlError::NotFitted)?;
+        if got != expected {
+            return Err(MlError::FeatureMismatch { expected, got });
         }
-        Ok(cols)
+        Ok(())
+    }
+
+    /// The linear margin `bias + Σ xᵢ·wᵢ` of `features` under `w` (one
+    /// weight per feature, then the bias), summed bias first and then in
+    /// feature order: the one summation order every linear family and
+    /// [`crate::MultiOutputModel`]'s stacked margins share.
+    #[inline]
+    pub fn linear_margin<'a>(features: impl IntoIterator<Item = &'a f64>, w: &[f64]) -> f64 {
+        let mut m = w[w.len() - 1];
+        for (xi, wi) in features.into_iter().zip(w) {
+            m += xi * wi;
+        }
+        m
+    }
+
+    /// One row's linear margin under the fitted weights `w` (see
+    /// [`linear_margin`]): `margin` when the caller already stacked it,
+    /// computed here otherwise. Checks that the model is fitted and the
+    /// row as wide as the weights.
+    pub fn row_margin(w: Option<&[f64]>, row: &[f64], margin: Option<f64>) -> Result<f64, MlError> {
+        let w = w.ok_or(MlError::NotFitted)?;
+        check_width(row.len(), Some(w.len() - 1))?;
+        Ok(margin.unwrap_or_else(|| linear_margin(row, w)))
     }
 
     /// Builds a class-balanced index list by oversampling the minority class

@@ -4,6 +4,7 @@ use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::error::MlError;
 use crate::matrix::Matrix;
 
 /// Splits `(x, labels)` into train/test with a shuffled index permutation.
@@ -143,11 +144,22 @@ impl Scaler {
     }
 
     /// Standardizes a single feature vector in place.
-    pub fn transform_row(&self, row: &mut [f64]) {
-        assert_eq!(row.len(), self.means.len(), "feature count mismatch");
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::FeatureMismatch`] when `row` is not as wide as the
+    /// fitted matrix; `row` is then left untouched.
+    pub fn transform_row(&self, row: &mut [f64]) -> Result<(), MlError> {
+        if row.len() != self.means.len() {
+            return Err(MlError::FeatureMismatch {
+                expected: self.means.len(),
+                got: row.len(),
+            });
+        }
         for ((v, m), s) in row.iter_mut().zip(&self.means).zip(&self.stds) {
             *v = (*v - m) / s;
         }
+        Ok(())
     }
 }
 
@@ -258,7 +270,21 @@ mod tests {
         let scaler = Scaler::fit(&x);
         let z = scaler.transform(&x);
         let mut row = [1.0, -4.0];
-        scaler.transform_row(&mut row);
+        scaler.transform_row(&mut row).unwrap();
         assert_eq!(&row[..], z.row(0));
+    }
+
+    #[test]
+    fn transform_row_rejects_a_wrong_width() {
+        let scaler = Scaler::fit(&Matrix::from_rows(&[&[1.0, -4.0], &[3.0, 6.0]]));
+        let mut row = [1.0, 2.0, 3.0];
+        assert_eq!(
+            scaler.transform_row(&mut row),
+            Err(MlError::FeatureMismatch {
+                expected: 2,
+                got: 3
+            })
+        );
+        assert_eq!(row, [1.0, 2.0, 3.0]);
     }
 }

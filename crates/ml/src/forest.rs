@@ -5,11 +5,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::binned::BinnedDataset;
-use crate::classifier::util::{balanced_indices, check_fit, check_predict};
+use crate::classifier::util::{balanced_indices, check_fit, check_predict, check_width};
 use crate::classifier::Classifier;
 use crate::error::MlError;
 use crate::matrix::Matrix;
-use crate::tree::{Criterion, DecisionTreeConfig, GrownTree, SplitStrategy};
+use crate::tree::{Criterion, DecisionTreeConfig, SplitStrategy, TreeArena};
 
 /// Hyperparameters for [`RandomForest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +47,7 @@ impl Default for RandomForestConfig {
 pub struct RandomForest {
     config: RandomForestConfig,
     seed: u64,
-    trees: Vec<GrownTree>,
+    trees: TreeArena,
     n_features: Option<usize>,
 }
 
@@ -57,7 +57,7 @@ impl RandomForest {
         RandomForest {
             config,
             seed,
-            trees: Vec::new(),
+            trees: TreeArena::new(0),
             n_features: None,
         }
     }
@@ -65,6 +65,12 @@ impl RandomForest {
     /// Number of grown trees (after fit).
     pub fn tree_count(&self) -> usize {
         self.trees.len()
+    }
+
+    /// Mean leaf value over the trees, walked in lockstep; `row` must be
+    /// as wide as the training matrix.
+    fn proba_row(&self, row: &[f64]) -> f64 {
+        self.trees.leaf_values(row).sum::<f64>() / self.trees.len() as f64
     }
 }
 
@@ -107,35 +113,36 @@ impl RandomForest {
             }
         };
 
-        self.trees = (0..self.config.n_trees)
-            .map(|t| {
-                let mut tree_rng = StdRng::seed_from_u64(
-                    self.seed ^ (t as u64).wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1),
-                );
-                // Bootstrap over the (balanced) base index set.
-                let sample: Vec<usize> = (0..base.len())
-                    .map(|_| base[tree_rng.random_range(0..base.len())])
-                    .collect();
-                match binned {
-                    Some(b) => GrownTree::grow_binned(
-                        b,
-                        &targets,
-                        &sample,
-                        Criterion::Gini,
-                        &tree_config,
-                        &mut tree_rng,
-                    ),
-                    None => GrownTree::grow(
-                        x,
-                        &targets,
-                        &sample,
-                        Criterion::Gini,
-                        &tree_config,
-                        &mut tree_rng,
-                    ),
-                }
-            })
-            .collect();
+        let mut trees = TreeArena::new(x.cols());
+        for t in 0..self.config.n_trees {
+            let mut tree_rng = StdRng::seed_from_u64(
+                self.seed ^ (t as u64).wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1),
+            );
+            // Bootstrap over the (balanced) base index set.
+            let sample: Vec<usize> = (0..base.len())
+                .map(|_| base[tree_rng.random_range(0..base.len())])
+                .collect();
+            match binned {
+                Some(b) => trees.grow_binned(
+                    b,
+                    &targets,
+                    &sample,
+                    Criterion::Gini,
+                    &tree_config,
+                    &mut tree_rng,
+                ),
+                None => trees.grow(
+                    x,
+                    &targets,
+                    &sample,
+                    Criterion::Gini,
+                    &tree_config,
+                    &mut tree_rng,
+                ),
+            }
+        }
+        trees.shrink_to_fit();
+        self.trees = trees;
         self.n_features = Some(x.cols());
         Ok(())
     }
@@ -155,11 +162,15 @@ impl Classifier for RandomForest {
             return Err(MlError::NotFitted);
         }
         check_predict(x, self.n_features)?;
-        Ok(x.iter_rows()
-            .map(|row| {
-                self.trees.iter().map(|t| t.predict_one(row)).sum::<f64>() / self.trees.len() as f64
-            })
-            .collect())
+        Ok(x.iter_rows().map(|row| self.proba_row(row)).collect())
+    }
+
+    fn predict_proba_row(&self, row: &[f64], _margin: Option<f64>) -> Result<f64, MlError> {
+        if self.trees.is_empty() {
+            return Err(MlError::NotFitted);
+        }
+        check_width(row.len(), self.n_features)?;
+        Ok(self.proba_row(row))
     }
 
     fn encode_state(&self, w: &mut Writer) {
@@ -190,12 +201,14 @@ impl Codec for RandomForest {
         self.n_features.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        Ok(RandomForest {
+        let forest = RandomForest {
             config: Codec::decode(r)?,
             seed: r.u64()?,
             trees: Codec::decode(r)?,
             n_features: Codec::decode(r)?,
-        })
+        };
+        forest.trees.check_width(forest.n_features)?;
+        Ok(forest)
     }
 }
 
@@ -267,6 +280,23 @@ mod tests {
             RandomForest::default().predict_proba(&x),
             Err(MlError::NotFitted)
         );
+    }
+
+    #[test]
+    fn decode_rejects_trees_narrower_than_the_forest() {
+        let (x, y) = ring_data(60);
+        let mut rf = RandomForest::default();
+        rf.fit(&x, &y).unwrap();
+        let mut w = Writer::new();
+        rf.encode(&mut w);
+        let mut bytes = w.into_bytes();
+        // The encoding ends with the forest's own width, `Some(2)`.
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&3u64.to_le_bytes());
+        assert!(matches!(
+            RandomForest::decode(&mut Reader::new(&bytes)),
+            Err(ArtifactError::Malformed { .. })
+        ));
     }
 
     #[test]

@@ -103,6 +103,34 @@ impl Classifier for HybridRsl {
         self.fusion.predict_proba(&meta)
     }
 
+    /// The same arithmetic as [`predict_proba`](Self::predict_proba) on
+    /// one row, with no meta matrix: the forest walks its trees in
+    /// lockstep, the SVM takes `margin` when the caller stacked it, and
+    /// the fusion layer reads the meta features in place.
+    fn predict_proba_row(&self, row: &[f64], margin: Option<f64>) -> Result<f64, MlError> {
+        if !self.fitted {
+            return Err(MlError::NotFitted);
+        }
+        let meta = [
+            self.forest.predict_proba_row(row, None)?,
+            self.svm.predict_proba_row(row, margin)?,
+        ];
+        let passthrough: &[f64] = if self.config.passthrough_features {
+            row
+        } else {
+            &[]
+        };
+        self.fusion.proba_of(
+            meta.len() + passthrough.len(),
+            meta.iter().chain(passthrough),
+        )
+    }
+
+    /// The SVM's weights: the base learner whose margin is linear.
+    fn margin_weights(&self) -> Option<&[f64]> {
+        self.svm.margin_weights()
+    }
+
     fn encode_state(&self, w: &mut Writer) {
         Codec::encode(self, w);
     }

@@ -2,7 +2,9 @@
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 
-use crate::classifier::util::{check_fit, check_predict, sigmoid};
+use crate::classifier::util::{
+    check_fit, check_predict, check_width, linear_margin, row_margin, sigmoid,
+};
 use crate::classifier::Classifier;
 use crate::dense::solve_spd;
 use crate::error::MlError;
@@ -24,14 +26,6 @@ impl LinearRegressionClassifier {
             ridge,
             weights: None,
         }
-    }
-
-    fn score(&self, row: &[f64], w: &[f64]) -> f64 {
-        let mut s = w[row.len()];
-        for (xi, wi) in row.iter().zip(w) {
-            s += xi * wi;
-        }
-        s
     }
 }
 
@@ -70,8 +64,16 @@ impl Classifier for LinearRegressionClassifier {
         let w = self.weights.as_ref().ok_or(MlError::NotFitted)?;
         check_predict(x, Some(w.len() - 1))?;
         Ok(x.iter_rows()
-            .map(|row| self.score(row, w).clamp(0.0, 1.0))
+            .map(|row| linear_margin(row, w).clamp(0.0, 1.0))
             .collect())
+    }
+
+    fn predict_proba_row(&self, row: &[f64], margin: Option<f64>) -> Result<f64, MlError> {
+        Ok(row_margin(self.weights.as_deref(), row, margin)?.clamp(0.0, 1.0))
+    }
+
+    fn margin_weights(&self) -> Option<&[f64]> {
+        self.weights.as_deref()
     }
 
     fn encode_state(&self, w: &mut Writer) {
@@ -145,6 +147,19 @@ impl LogisticRegression {
     pub fn weights(&self) -> Option<&[f64]> {
         self.weights.as_deref()
     }
+
+    /// `P(y = 1)` for one row of `width` features yielded by `features`,
+    /// so HybridRSL's fusion layer can score its meta features without
+    /// building a row.
+    pub(crate) fn proba_of<'a>(
+        &self,
+        width: usize,
+        features: impl IntoIterator<Item = &'a f64>,
+    ) -> Result<f64, MlError> {
+        let w = self.weights.as_ref().ok_or(MlError::NotFitted)?;
+        check_width(width, Some(w.len() - 1))?;
+        Ok(sigmoid(linear_margin(features, w)))
+    }
 }
 
 impl Classifier for LogisticRegression {
@@ -164,11 +179,7 @@ impl Classifier for LogisticRegression {
             let mut g = vec![0.0f64; d];
             for (row, &yi) in x.iter_rows().zip(y) {
                 let sw = if yi == 1 { pos_weight } else { 1.0 };
-                let mut z = w[d - 1];
-                for (xi, wi) in row.iter().zip(&w) {
-                    z += xi * wi;
-                }
-                let mu = sigmoid(z);
+                let mu = sigmoid(linear_margin(row, &w));
                 let s = (mu * (1.0 - mu)).max(1e-6) * sw;
                 let r = (yi as f64 - mu) * sw;
                 for a in 0..d {
@@ -207,14 +218,16 @@ impl Classifier for LogisticRegression {
         let w = self.weights.as_ref().ok_or(MlError::NotFitted)?;
         check_predict(x, Some(w.len() - 1))?;
         Ok(x.iter_rows()
-            .map(|row| {
-                let mut z = w[row.len()];
-                for (xi, wi) in row.iter().zip(w) {
-                    z += xi * wi;
-                }
-                sigmoid(z)
-            })
+            .map(|row| sigmoid(linear_margin(row, w)))
             .collect())
+    }
+
+    fn predict_proba_row(&self, row: &[f64], margin: Option<f64>) -> Result<f64, MlError> {
+        Ok(sigmoid(row_margin(self.weights.as_deref(), row, margin)?))
+    }
+
+    fn margin_weights(&self) -> Option<&[f64]> {
+        self.weights.as_deref()
     }
 
     fn encode_state(&self, w: &mut Writer) {

@@ -20,9 +20,11 @@ use aqua_telemetry::{TelemetryCtx, Value};
 use crossbeam::thread;
 
 use crate::binned::BinnedDataset;
+use crate::classifier::util::check_width;
 use crate::classifier::{Classifier, ModelKind};
 use crate::error::MlError;
 use crate::matrix::Matrix;
+use crate::sync::OnceLock;
 use crate::work::WorkQueue;
 
 /// A bank of per-output binary classifiers sharing one feature matrix —
@@ -30,6 +32,84 @@ use crate::work::WorkQueue;
 pub struct MultiOutputModel {
     kind: ModelKind,
     models: Vec<Box<dyn Classifier>>,
+    /// Every output's margin weights, stacked; derived from `models` by
+    /// the first row predict, never encoded.
+    margins: OnceLock<Option<StackedMargins>>,
+}
+
+/// Outputs per panel of [`StackedMargins`]: the margins one sweep over
+/// the row keeps in registers.
+const PANEL: usize = 16;
+
+/// The linear-margin weights of every output
+/// ([`Classifier::margin_weights`]), transposed so that one pass over a
+/// feature row computes all the margins.
+///
+/// Outputs are grouped in panels of [`PANEL`], the last one padded with
+/// zero weights. Within a panel the weights are feature-major:
+/// `weights[(p * features + i) * PANEL + j]` is output `p * PANEL + j`'s
+/// weight on feature `i`. One sweep per panel starts its margins at their
+/// biases and adds one feature at a time across the panel — a contiguous,
+/// vectorizable inner loop over accumulators that stay in registers — so
+/// each output still sums bias first and then features `0..d` in order,
+/// bit for bit the sum
+/// [`linear_margin`](crate::classifier::util::linear_margin) takes.
+struct StackedMargins {
+    outputs: usize,
+    features: usize,
+    bias: Vec<f64>,
+    weights: Vec<f64>,
+}
+
+impl StackedMargins {
+    /// Stacks the models' margin weights; `None` unless every model has
+    /// them and all are equally wide, with at least one feature.
+    fn derive(models: &[Box<dyn Classifier>]) -> Option<StackedMargins> {
+        let per_output: Vec<&[f64]> = models
+            .iter()
+            .map(|m| m.margin_weights())
+            .collect::<Option<_>>()?;
+        let width = per_output.first()?.len();
+        if width < 2 || per_output.iter().any(|w| w.len() != width) {
+            return None;
+        }
+        let (features, outputs) = (width - 1, per_output.len());
+        let panels = outputs.div_ceil(PANEL);
+        let mut bias = vec![0.0; panels * PANEL];
+        let mut weights = vec![0.0; panels * features * PANEL];
+        for (v, w) in per_output.iter().enumerate() {
+            let (p, j) = (v / PANEL, v % PANEL);
+            bias[v] = w[features];
+            for (i, &wi) in w[..features].iter().enumerate() {
+                weights[(p * features + i) * PANEL + j] = wi;
+            }
+        }
+        Some(StackedMargins {
+            outputs,
+            features,
+            bias,
+            weights,
+        })
+    }
+
+    /// Every output's margin for `row`.
+    fn margins(&self, row: &[f64]) -> Result<Vec<f64>, MlError> {
+        check_width(row.len(), Some(self.features))?;
+        let mut margins = Vec::with_capacity(self.bias.len());
+        let panels = self.weights.chunks_exact(self.features * PANEL);
+        for (bias, panel) in self.bias.chunks_exact(PANEL).zip(panels) {
+            let mut acc = [0.0; PANEL];
+            acc.copy_from_slice(bias);
+            for (&x, w) in row.iter().zip(panel.chunks_exact(PANEL)) {
+                for (m, &wj) in acc.iter_mut().zip(w) {
+                    *m += x * wj;
+                }
+            }
+            margins.extend_from_slice(&acc);
+        }
+        margins.truncate(self.outputs);
+        Ok(margins)
+    }
 }
 
 impl std::fmt::Debug for MultiOutputModel {
@@ -200,7 +280,7 @@ impl MultiOutputModel {
                 tel.add("ml.train.boosting_rounds", rounds);
             }
         }
-        Ok(MultiOutputModel { kind, models })
+        Ok(MultiOutputModel::new(kind, models))
     }
 
     /// The model family used for every output.
@@ -220,18 +300,77 @@ impl MultiOutputModel {
     }
 
     /// Per-output hard predictions: `result[v][sample]` (Algorithm 2's
-    /// `predict`).
+    /// `predict`), computed row by row through the same kernel as
+    /// [`predict_proba_one`](Self::predict_proba_one).
     pub fn predict(&self, x: &Matrix) -> Result<Vec<Vec<u8>>, MlError> {
-        self.models.iter().map(|m| m.predict(x)).collect()
+        if x.rows() == 0 {
+            // No row to check the width on: let each model check it.
+            return self.models.iter().map(|m| m.predict(x)).collect();
+        }
+        let mut labels = vec![Vec::with_capacity(x.rows()); self.models.len()];
+        for row in x.iter_rows() {
+            let row_labels = self.per_output(row, |m, margin| m.predict_row(row, margin))?;
+            for (column, label) in labels.iter_mut().zip(row_labels) {
+                column.push(label);
+            }
+        }
+        Ok(labels)
     }
 
     /// Probabilities for a single sample across all outputs — the leak
     /// probability vector `P = {p_v(1)}` Algorithm 2 manipulates.
+    ///
+    /// One pass over the row computes every output's linear margin when
+    /// the family has one (see [`Classifier::margin_weights`]); each
+    /// output then finishes its probability from the row and its margin
+    /// without allocating. The result equals [`predict_proba`] on a
+    /// one-row matrix bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::FeatureMismatch`] when `features` is not as wide as the
+    /// training matrix.
+    ///
+    /// [`predict_proba`]: Self::predict_proba
     pub fn predict_proba_one(&self, features: &[f64]) -> Result<Vec<f64>, MlError> {
-        let mut x = Matrix::with_cols(features.len());
-        x.push_row(features);
-        let per_output = self.predict_proba(&x)?;
-        Ok(per_output.into_iter().map(|v| v[0]).collect())
+        self.per_output(features, |m, margin| m.predict_proba_row(features, margin))
+    }
+
+    /// Runs `step` for every output in output order, handing each the
+    /// row's margin under its weights when the margins are stacked.
+    fn per_output<T>(
+        &self,
+        row: &[f64],
+        step: impl Fn(&dyn Classifier, Option<f64>) -> Result<T, MlError>,
+    ) -> Result<Vec<T>, MlError> {
+        match self.stacked_margins() {
+            Some(stacked) => {
+                let margins = stacked.margins(row)?;
+                let outputs = self.models.iter().zip(margins);
+                outputs
+                    .map(|(m, margin)| step(m.as_ref(), Some(margin)))
+                    .collect()
+            }
+            None => self.models.iter().map(|m| step(m.as_ref(), None)).collect(),
+        }
+    }
+
+    /// The stacked margins, derived once, on first use. Deriving them
+    /// at fit instead put the ~1.5 MiB transposed copy (WSSC) into the
+    /// training and artifact-encoding allocation peaks and raised the
+    /// peak resident set of a train-encode-decode cycle by ~1 MiB.
+    fn stacked_margins(&self) -> Option<&StackedMargins> {
+        self.margins
+            .get_or_init(|| StackedMargins::derive(&self.models))
+            .as_ref()
+    }
+
+    fn new(kind: ModelKind, models: Vec<Box<dyn Classifier>>) -> Self {
+        MultiOutputModel {
+            kind,
+            models,
+            margins: OnceLock::new(),
+        }
     }
 }
 
@@ -258,7 +397,7 @@ impl Codec for MultiOutputModel {
             models.push(kind.decode_classifier(&mut body)?);
             body.finish()?;
         }
-        Ok(MultiOutputModel { kind, models })
+        Ok(MultiOutputModel::new(kind, models))
     }
 }
 
@@ -346,6 +485,39 @@ mod tests {
     }
 
     #[test]
+    fn linear_families_stack_their_margins() {
+        let (x, labels) = data(60);
+        for kind in [
+            ModelKind::linear_r(),
+            ModelKind::logistic_r(),
+            ModelKind::svm(),
+            ModelKind::hybrid_rsl(),
+        ] {
+            let model = MultiOutputModel::fit(kind, &x, &labels, 1, 1).unwrap();
+            assert!(model.stacked_margins().is_some(), "{}", model.kind().name());
+        }
+        let rf = MultiOutputModel::fit(ModelKind::random_forest(), &x, &labels, 1, 1).unwrap();
+        assert!(rf.stacked_margins().is_none());
+    }
+
+    #[test]
+    fn wrong_width_row_is_a_feature_mismatch() {
+        let (x, labels) = data(60);
+        for kind in [ModelKind::hybrid_rsl(), ModelKind::random_forest()] {
+            let model = MultiOutputModel::fit(kind, &x, &labels, 1, 1).unwrap();
+            for row in [&[0.5][..], &[0.5, 0.5, 0.5]] {
+                assert_eq!(
+                    model.predict_proba_one(row),
+                    Err(MlError::FeatureMismatch {
+                        expected: 2,
+                        got: row.len()
+                    })
+                );
+            }
+        }
+    }
+
+    #[test]
     fn label_length_mismatch_rejected() {
         let (x, mut labels) = data(50);
         labels[1].pop();
@@ -392,6 +564,24 @@ mod tests {
             let loaded = back.predict_proba(&x).unwrap();
             for (a, b) in orig.iter().flatten().zip(loaded.iter().flatten()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{name} probabilities drifted");
+            }
+            // The row kernel (stacked margins, lockstep trees) reproduces
+            // the per-output matrix path bit for bit, before and after
+            // the round trip, and so do the hard labels.
+            for m in [&model, &back] {
+                for (r, row) in x.iter_rows().enumerate() {
+                    let one = m.predict_proba_one(row).unwrap();
+                    for (v, p) in one.iter().enumerate() {
+                        assert_eq!(
+                            p.to_bits(),
+                            orig[v][r].to_bits(),
+                            "{name} output {v} row {r}"
+                        );
+                    }
+                }
+                let per_output: Vec<Vec<u8>> =
+                    m.models.iter().map(|c| c.predict(&x).unwrap()).collect();
+                assert_eq!(m.predict(&x).unwrap(), per_output, "{name} labels");
             }
             // Re-encoding the decoded model reproduces the exact bytes:
             // encode is a pure function of model state.

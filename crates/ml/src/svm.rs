@@ -5,7 +5,7 @@ use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::classifier::util::{check_fit, check_predict, sigmoid};
+use crate::classifier::util::{check_fit, check_predict, linear_margin, row_margin, sigmoid};
 use crate::classifier::Classifier;
 use crate::error::MlError;
 use crate::matrix::Matrix;
@@ -58,20 +58,17 @@ impl LinearSvm {
         }
     }
 
-    /// Signed margin for one sample.
-    fn margin(&self, row: &[f64], w: &[f64]) -> f64 {
-        let mut m = w[row.len()];
-        for (xi, wi) in row.iter().zip(w) {
-            m += xi * wi;
-        }
-        m
-    }
-
     /// The raw decision values (margins) for each row; positive = class 1.
     pub fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
         let w = self.weights.as_ref().ok_or(MlError::NotFitted)?;
         check_predict(x, Some(w.len() - 1))?;
-        Ok(x.iter_rows().map(|row| self.margin(row, w)).collect())
+        Ok(x.iter_rows().map(|row| linear_margin(row, w)).collect())
+    }
+
+    /// The Platt probability of a margin.
+    fn platt(&self, margin: f64) -> f64 {
+        let (a, b) = self.platt;
+        sigmoid(a * margin + b)
     }
 }
 
@@ -111,7 +108,7 @@ impl Classifier for LinearSvm {
                 let row = x.row(i);
                 let yi = if y[i] == 1 { 1.0 } else { -1.0 };
                 let sw = if y[i] == 1 { pos_weight } else { 1.0 };
-                let m = self.margin(row, &w) * yi;
+                let m = linear_margin(row, &w) * yi;
                 // Regularization shrink (not applied to the bias).
                 for wi in w.iter_mut().take(d - 1) {
                     *wi *= 1.0 - eta * lambda;
@@ -131,7 +128,7 @@ impl Classifier for LinearSvm {
 
         // Platt scaling on training margins: fit σ(a·m + b) to labels by
         // gradient descent on the log loss.
-        let margins: Vec<f64> = x.iter_rows().map(|row| self.margin(row, &w)).collect();
+        let margins: Vec<f64> = x.iter_rows().map(|row| linear_margin(row, &w)).collect();
         let (mut a, mut b) = (1.0f64, 0.0f64);
         let lr = 0.05;
         for _ in 0..self.config.platt_iterations {
@@ -157,8 +154,21 @@ impl Classifier for LinearSvm {
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
         let margins = self.decision_function(x)?;
-        let (a, b) = self.platt;
-        Ok(margins.into_iter().map(|m| sigmoid(a * m + b)).collect())
+        Ok(margins.into_iter().map(|m| self.platt(m)).collect())
+    }
+
+    fn predict_proba_row(&self, row: &[f64], margin: Option<f64>) -> Result<f64, MlError> {
+        Ok(self.platt(row_margin(self.weights.as_deref(), row, margin)?))
+    }
+
+    fn predict_row(&self, row: &[f64], margin: Option<f64>) -> Result<u8, MlError> {
+        Ok(u8::from(
+            row_margin(self.weights.as_deref(), row, margin)? > 0.0,
+        ))
+    }
+
+    fn margin_weights(&self) -> Option<&[f64]> {
+        self.weights.as_deref()
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<u8>, MlError> {

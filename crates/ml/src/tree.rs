@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::binned::BinnedDataset;
-use crate::classifier::util::{balanced_indices, check_fit, check_predict};
+use crate::classifier::util::{balanced_indices, check_fit, check_predict, check_width};
 use crate::classifier::Classifier;
 use crate::error::MlError;
 use crate::matrix::Matrix;
@@ -113,20 +113,6 @@ impl Default for DecisionTreeConfig {
     }
 }
 
-/// A grown tree: flat node arena.
-#[derive(Debug, Clone)]
-pub(crate) enum TreeNode {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
-}
-
 /// The split criterion / leaf statistic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Criterion {
@@ -136,11 +122,38 @@ pub(crate) enum Criterion {
     Mse,
 }
 
-/// Internal grown-tree representation shared by all tree consumers.
+/// Trees walked side by side in one lockstep pass of
+/// [`TreeArena::leaf_values`]; larger ensembles walk in chunks.
+const LOCKSTEP: usize = 32;
+
+/// The one tree layout shared by all tree consumers — a forest's bagged
+/// trees, a boosted model's stages, a standalone CART tree: every tree of
+/// the ensemble in one flat structure-of-arrays node arena.
+///
+/// The node arrays are split by type: the `f64` thresholds in one, the
+/// `u32` split feature and child ids in the other. A node costs 20 bytes
+/// with no padding, and a step reads one entry of each.
+///
+/// Each tree's nodes are contiguous and in preorder (every child comes
+/// after its parent, the root first). A leaf's children are the leaf
+/// itself, so a walk that reaches a leaf stays there; its value lives in
+/// the `threshold` slot and its feature is 0. That lets a walk take a
+/// fixed number of branchless steps (the tree's depth) instead of testing
+/// for a leaf at every node. Node ids are arena-global in memory and
+/// tree-local on the wire.
 #[derive(Debug, Clone)]
-pub(crate) struct GrownTree {
-    nodes: Vec<TreeNode>,
-    pub(crate) n_features: usize,
+pub(crate) struct TreeArena {
+    /// Split threshold per node; the leaf value for leaves.
+    threshold: Vec<f64>,
+    /// `[feature, left, right]` per node; `[0, self, self]` for leaves.
+    links: Vec<[u32; 3]>,
+    /// Root node of each tree; tree `t` owns the nodes from `roots[t]` up
+    /// to the next tree's root.
+    roots: Vec<u32>,
+    /// Longest root-to-leaf path of each tree, in edges.
+    depths: Vec<u32>,
+    /// Row width every tree was grown on.
+    n_features: usize,
 }
 
 /// Shared scratch for one tree's histogram growth: per-bin target
@@ -196,57 +209,142 @@ fn child_score(
     }
 }
 
-impl GrownTree {
+impl TreeArena {
+    /// An arena with no trees, for rows of `n_features` features.
+    pub(crate) fn new(n_features: usize) -> TreeArena {
+        TreeArena {
+            threshold: Vec::new(),
+            links: Vec::new(),
+            roots: Vec::new(),
+            depths: Vec::new(),
+            n_features,
+        }
+    }
+
+    /// Number of trees.
+    pub(crate) fn len(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// Whether the arena holds no tree.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.roots.is_empty()
+    }
+
+    /// The row width the trees were grown on.
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     /// Grows a tree on `(x[indices], targets[indices])` with the exact
-    /// sorted-scan split finder.
+    /// sorted-scan split finder and appends it.
     pub(crate) fn grow(
+        &mut self,
         x: &Matrix,
         targets: &[f64],
         indices: &[usize],
         criterion: Criterion,
         config: &DecisionTreeConfig,
         rng: &mut StdRng,
-    ) -> GrownTree {
-        let mut tree = GrownTree {
-            nodes: Vec::new(),
-            n_features: x.cols(),
-        };
-        let root_indices: Vec<usize> = indices.to_vec();
-        tree.grow_node(x, targets, root_indices, criterion, config, rng, 0);
-        tree
+    ) {
+        let root = self.threshold.len();
+        self.grow_node(x, targets, indices.to_vec(), criterion, config, rng, 0);
+        self.seal_tree(root);
     }
 
     /// Grows a tree on `(binned[indices], targets[indices])` with histogram
-    /// split finding. The resulting tree stores real `f64` thresholds, so
-    /// prediction runs on raw feature rows — binning is a training-time
-    /// concern only.
+    /// split finding and appends it. The tree stores real `f64`
+    /// thresholds, so prediction runs on raw feature rows — binning is a
+    /// training-time concern only.
     pub(crate) fn grow_binned(
+        &mut self,
         binned: &BinnedDataset,
         targets: &[f64],
         indices: &[usize],
         criterion: Criterion,
         config: &DecisionTreeConfig,
         rng: &mut StdRng,
-    ) -> GrownTree {
-        let mut tree = GrownTree {
-            nodes: Vec::new(),
-            n_features: binned.features(),
-        };
+    ) {
         let mut scratch = HistScratch {
             bins: vec![(0, 0.0, 0.0); binned.widest()],
         };
-        let root_indices: Vec<usize> = indices.to_vec();
-        tree.grow_node_binned(
+        let root = self.threshold.len();
+        self.grow_node_binned(
             binned,
             targets,
-            root_indices,
+            indices.to_vec(),
             criterion,
             config,
             rng,
             0,
             &mut scratch,
         );
-        tree
+        self.seal_tree(root);
+    }
+
+    /// Drops every tree after the first `trees`.
+    pub(crate) fn truncate(&mut self, trees: usize) {
+        if let Some(&end) = self.roots.get(trees) {
+            let end = end as usize;
+            self.threshold.truncate(end);
+            self.links.truncate(end);
+            self.roots.truncate(trees);
+            self.depths.truncate(trees);
+        }
+    }
+
+    /// Releases growth slack once the ensemble is complete.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.threshold.shrink_to_fit();
+        self.links.shrink_to_fit();
+        self.roots.shrink_to_fit();
+        self.depths.shrink_to_fit();
+    }
+
+    /// Appends a leaf holding `value` and returns its id.
+    fn push_leaf(&mut self, value: f64) -> usize {
+        let id = self.threshold.len();
+        self.threshold.push(value);
+        self.links.push([0, id as u32, id as u32]);
+        id
+    }
+
+    /// Turns node `id` into a split; both children must come after `id`.
+    fn set_split(&mut self, id: usize, feature: usize, threshold: f64, left: usize, right: usize) {
+        self.threshold[id] = threshold;
+        self.links[id] = [feature as u32, left as u32, right as u32];
+    }
+
+    /// Whether node `id` is a leaf (its children loop back to it).
+    fn is_leaf(&self, id: usize) -> bool {
+        self.links[id][1] as usize == id
+    }
+
+    /// The node ids of tree `t`.
+    fn nodes(&self, t: usize) -> std::ops::Range<usize> {
+        let end = self
+            .roots
+            .get(t + 1)
+            .map_or(self.threshold.len(), |&r| r as usize);
+        self.roots[t] as usize..end
+    }
+
+    /// Registers the nodes from `root` to the end of the arena as one
+    /// tree and records its depth, in one forward pass that sees every
+    /// parent before its children because the tree is in preorder.
+    fn seal_tree(&mut self, root: usize) {
+        let end = self.threshold.len();
+        let mut depth = vec![0u32; end - root];
+        for id in root..end {
+            if !self.is_leaf(id) {
+                for child in [self.links[id][1], self.links[id][2]] {
+                    let child = child as usize - root;
+                    depth[child] = depth[child].max(depth[id - root] + 1);
+                }
+            }
+        }
+        self.roots.push(root as u32);
+        self.depths.push(depth.into_iter().max().unwrap_or(0));
     }
 
     /// Leaf/recursion bookkeeping shared by both growth paths. Returns
@@ -262,18 +360,14 @@ impl GrownTree {
         if indices.is_empty() {
             // Degenerate call (empty training selection): an explicit
             // 0-valued leaf beats a NaN mean or an index panic.
-            let id = self.nodes.len();
-            self.nodes.push(TreeNode::Leaf { value: 0.0 });
-            return Err(id);
+            return Err(self.push_leaf(0.0));
         }
         let mean = indices.iter().map(|&i| targets[i]).sum::<f64>() / indices.len() as f64;
         let pure = indices
             .iter()
             .all(|&i| (targets[i] - targets[indices[0]]).abs() < 1e-12);
         if depth >= config.max_depth || indices.len() < config.min_samples_split || pure {
-            let id = self.nodes.len();
-            self.nodes.push(TreeNode::Leaf { value: mean });
-            return Err(id);
+            return Err(self.push_leaf(mean));
         }
         Ok(mean)
     }
@@ -296,31 +390,21 @@ impl GrownTree {
 
         let best = self.best_split(x, targets, &indices, criterion, config, rng);
         let Some((feature, threshold)) = best else {
-            let id = self.nodes.len();
-            self.nodes.push(TreeNode::Leaf { value: mean });
-            return id;
+            return self.push_leaf(mean);
         };
 
         let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
             .iter()
             .partition(|&&i| x.get(i, feature) <= threshold);
         if left_idx.is_empty() || right_idx.is_empty() {
-            let id = self.nodes.len();
-            self.nodes.push(TreeNode::Leaf { value: mean });
-            return id;
+            return self.push_leaf(mean);
         }
 
         // Reserve the split slot, then grow children.
-        let id = self.nodes.len();
-        self.nodes.push(TreeNode::Leaf { value: mean }); // placeholder
+        let id = self.push_leaf(mean); // placeholder
         let left = self.grow_node(x, targets, left_idx, criterion, config, rng, depth + 1);
         let right = self.grow_node(x, targets, right_idx, criterion, config, rng, depth + 1);
-        self.nodes[id] = TreeNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        };
+        self.set_split(id, feature, threshold, left, right);
         id
     }
 
@@ -344,23 +428,18 @@ impl GrownTree {
         let best =
             self.best_split_binned(binned, targets, &indices, criterion, config, rng, scratch);
         let Some((feature, bin)) = best else {
-            let id = self.nodes.len();
-            self.nodes.push(TreeNode::Leaf { value: mean });
-            return id;
+            return self.push_leaf(mean);
         };
 
         let codes = binned.feature_codes(feature);
         let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
             indices.iter().partition(|&&i| codes[i] as usize <= bin);
         if left_idx.is_empty() || right_idx.is_empty() {
-            let id = self.nodes.len();
-            self.nodes.push(TreeNode::Leaf { value: mean });
-            return id;
+            return self.push_leaf(mean);
         }
 
         let threshold = binned.threshold(feature, bin);
-        let id = self.nodes.len();
-        self.nodes.push(TreeNode::Leaf { value: mean }); // placeholder
+        let id = self.push_leaf(mean); // placeholder
         let left = self.grow_node_binned(
             binned,
             targets,
@@ -381,12 +460,7 @@ impl GrownTree {
             depth + 1,
             scratch,
         );
-        self.nodes[id] = TreeNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        };
+        self.set_split(id, feature, threshold, left, right);
         id
     }
 
@@ -526,94 +600,180 @@ impl GrownTree {
         best.map(|(f, b, _)| (f, b))
     }
 
-    /// Predicted leaf value for one sample.
-    pub(crate) fn predict_one(&self, row: &[f64]) -> f64 {
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                TreeNode::Leaf { value } => return *value,
-                TreeNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    node = if row[*feature] <= *threshold {
-                        *left
+    /// Tree `t`'s leaf value for one sample: the scalar single-tree walk,
+    /// and the oracle [`leaf_values`](Self::leaf_values) is tested
+    /// against. A NaN feature compares false and goes right.
+    pub(crate) fn predict_one(&self, t: usize, row: &[f64]) -> f64 {
+        let mut node = self.roots[t] as usize;
+        while !self.is_leaf(node) {
+            let [feature, left, right] = self.links[node];
+            node = if row[feature as usize] <= self.threshold[node] {
+                left as usize
+            } else {
+                right as usize
+            };
+        }
+        self.threshold[node]
+    }
+
+    /// The leaf value every tree reaches for `row`, in tree order.
+    ///
+    /// Each chunk of [`LOCKSTEP`] trees is walked side by side for as many
+    /// branchless steps as its deepest tree needs, so the trees' node
+    /// loads overlap instead of queueing behind one another; shallower
+    /// trees sit on their leaf for the remaining steps. Every step is the
+    /// comparison [`predict_one`](Self::predict_one) makes, so summing the
+    /// values in the order yielded reproduces a tree-by-tree sum bit for
+    /// bit. `row` must be [`n_features`](Self::n_features) wide.
+    pub(crate) fn leaf_values<'a>(&'a self, row: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        // Equal-length views: one bounds check per step covers both.
+        let n = self.threshold.len();
+        let (threshold, links) = (&self.threshold[..n], &self.links[..n]);
+        let chunks = self
+            .roots
+            .chunks(LOCKSTEP)
+            .zip(self.depths.chunks(LOCKSTEP));
+        chunks.flat_map(move |(roots, depths)| {
+            let mut cursor = [0u32; LOCKSTEP];
+            cursor[..roots.len()].copy_from_slice(roots);
+            for _ in 0..depths.iter().copied().max().unwrap_or(0) {
+                for node in &mut cursor[..roots.len()] {
+                    let id = *node as usize;
+                    let [feature, left, right] = links[id];
+                    *node = if row[feature as usize] <= threshold[id] {
+                        left
                     } else {
-                        *right
+                        right
                     };
                 }
             }
-        }
-    }
-
-    /// Number of nodes (for tests).
-    #[cfg(test)]
-    pub(crate) fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-impl Codec for TreeNode {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            TreeNode::Leaf { value } => {
-                w.u8(0);
-                w.f64(*value);
-            }
-            TreeNode::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                w.u8(1);
-                w.len_prefix(*feature);
-                w.f64(*threshold);
-                w.len_prefix(*left);
-                w.len_prefix(*right);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        Ok(match r.u8()? {
-            0 => TreeNode::Leaf { value: r.f64()? },
-            1 => TreeNode::Split {
-                feature: usize::decode(r)?,
-                threshold: r.f64()?,
-                left: usize::decode(r)?,
-                right: usize::decode(r)?,
-            },
-            tag => {
-                return Err(ArtifactError::Malformed {
-                    reason: format!("unknown tree-node tag {tag}"),
-                })
-            }
+            let leaves = cursor.into_iter().take(roots.len());
+            leaves.map(move |node| threshold[node as usize])
         })
     }
-}
 
-impl Codec for GrownTree {
-    fn encode(&self, w: &mut Writer) {
-        self.nodes.encode(w);
-        w.len_prefix(self.n_features);
+    /// Total node count (for tests).
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
+        self.threshold.len()
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        let nodes: Vec<TreeNode> = Codec::decode(r)?;
-        let n_features = usize::decode(r)?;
-        // A decoded tree is traversed without bounds pre-checks, so child
-        // indices must stay inside the arena.
-        for node in &nodes {
-            if let TreeNode::Split { left, right, .. } = node {
-                if *left >= nodes.len() || *right >= nodes.len() {
-                    return Err(ArtifactError::Malformed {
-                        reason: "tree child index out of bounds".into(),
-                    });
-                }
+
+    /// Rejects a decoded ensemble whose width disagrees with its owner's:
+    /// a walk indexes the row with every split feature.
+    pub(crate) fn check_width(&self, n_features: Option<usize>) -> Result<(), ArtifactError> {
+        if self.is_empty() || Some(self.n_features) == n_features {
+            return Ok(());
+        }
+        Err(malformed_tree(format!(
+            "tree width {} disagrees with the ensemble width {n_features:?}",
+            self.n_features
+        )))
+    }
+
+    /// Writes tree `t`: its preorder node list (tag 0: leaf value; tag 1:
+    /// feature, threshold, left, right, with tree-local ids) followed by
+    /// the feature count.
+    fn encode_tree(&self, t: usize, w: &mut Writer) {
+        let nodes = self.nodes(t);
+        let root = nodes.start;
+        w.len_prefix(nodes.len());
+        for id in nodes {
+            if self.is_leaf(id) {
+                w.u8(0);
+                w.f64(self.threshold[id]);
+            } else {
+                let [feature, left, right] = self.links[id];
+                w.u8(1);
+                w.len_prefix(feature as usize);
+                w.f64(self.threshold[id]);
+                w.len_prefix(left as usize - root);
+                w.len_prefix(right as usize - root);
             }
         }
-        Ok(GrownTree { nodes, n_features })
+        w.len_prefix(self.n_features);
+    }
+
+    /// Reads one tree in [`encode_tree`](Self::encode_tree)'s layout and
+    /// appends it.
+    ///
+    /// Children must come strictly after their parent (preorder) and
+    /// inside the tree, split features inside the row, and the tree as
+    /// wide as the ones before it: every walk then reaches a leaf in
+    /// fewer steps than the tree has nodes, never indexes past the row,
+    /// and the depth is well defined. Anything else is
+    /// [`ArtifactError::Malformed`].
+    fn decode_tree(&mut self, r: &mut Reader<'_>) -> Result<(), ArtifactError> {
+        // A leaf takes 9 bytes, the smallest node encoding.
+        let n = r.len_prefix(9)?;
+        let root = self.threshold.len();
+        if n == 0 || root + n > u32::MAX as usize {
+            return Err(malformed_tree(format!("tree with {n} nodes")));
+        }
+        let mut widest: Option<usize> = None;
+        for local in 0..n {
+            match r.u8()? {
+                0 => {
+                    self.push_leaf(r.f64()?);
+                }
+                1 => {
+                    let feature = usize::decode(r)?;
+                    let threshold = r.f64()?;
+                    let left = usize::decode(r)?;
+                    let right = usize::decode(r)?;
+                    if !(local < left && left < n && local < right && right < n) {
+                        return Err(malformed_tree(format!(
+                            "tree node {local} has children {left}, {right} outside ({local}, {n})"
+                        )));
+                    }
+                    if feature > u32::MAX as usize {
+                        return Err(malformed_tree(format!("tree split feature {feature}")));
+                    }
+                    let id = self.push_leaf(0.0);
+                    self.set_split(id, feature, threshold, root + left, root + right);
+                    widest = widest.max(Some(feature));
+                }
+                tag => return Err(malformed_tree(format!("unknown tree-node tag {tag}"))),
+            }
+        }
+        let n_features = usize::decode(r)?;
+        if let Some(feature) = widest.filter(|&f| f >= n_features) {
+            return Err(malformed_tree(format!(
+                "tree split feature {feature} outside {n_features} features"
+            )));
+        }
+        if !self.is_empty() && n_features != self.n_features {
+            return Err(malformed_tree(format!(
+                "tree width {n_features} differs from the ensemble's {}",
+                self.n_features
+            )));
+        }
+        self.n_features = n_features;
+        self.seal_tree(root);
+        Ok(())
+    }
+}
+
+fn malformed_tree(reason: String) -> ArtifactError {
+    ArtifactError::Malformed { reason }
+}
+
+/// The same bytes as a `Vec` of single-tree encodings: the tree count,
+/// then each tree.
+impl Codec for TreeArena {
+    fn encode(&self, w: &mut Writer) {
+        w.len_prefix(self.len());
+        for t in 0..self.len() {
+            self.encode_tree(t, w);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
+        let trees = r.len_prefix(1)?;
+        let mut arena = TreeArena::new(0);
+        for _ in 0..trees {
+            arena.decode_tree(r)?;
+        }
+        arena.shrink_to_fit();
+        Ok(arena)
     }
 }
 
@@ -640,14 +800,24 @@ impl Codec for DecisionTree {
     fn encode(&self, w: &mut Writer) {
         self.config.encode(w);
         w.u64(self.seed);
-        self.tree.encode(w);
+        // On the wire the tree is optional: absent (0) or one tree (1).
+        if self.tree.is_empty() {
+            w.u8(0);
+        } else {
+            w.u8(1);
+            self.tree.encode_tree(0, w);
+        }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        Ok(DecisionTree {
-            config: Codec::decode(r)?,
-            seed: r.u64()?,
-            tree: Codec::decode(r)?,
-        })
+        let config = Codec::decode(r)?;
+        let seed = r.u64()?;
+        let mut tree = TreeArena::new(0);
+        match r.u8()? {
+            0 => {}
+            1 => tree.decode_tree(r)?,
+            tag => return Err(malformed_tree(format!("invalid option tag {tag}"))),
+        }
+        Ok(DecisionTree { config, seed, tree })
     }
 }
 
@@ -674,7 +844,8 @@ fn impurity(targets: &[f64], indices: &[usize], criterion: Criterion) -> f64 {
 pub struct DecisionTree {
     config: DecisionTreeConfig,
     seed: u64,
-    tree: Option<GrownTree>,
+    /// One tree once fitted, empty before.
+    tree: TreeArena,
 }
 
 impl DecisionTree {
@@ -683,7 +854,7 @@ impl DecisionTree {
         DecisionTree {
             config,
             seed,
-            tree: None,
+            tree: TreeArena::new(0),
         }
     }
 
@@ -703,8 +874,9 @@ impl DecisionTree {
         } else {
             (0..y.len()).collect()
         };
-        self.tree = Some(match binned {
-            Some(b) => GrownTree::grow_binned(
+        let mut tree = TreeArena::new(x.cols());
+        match binned {
+            Some(b) => tree.grow_binned(
                 b,
                 &targets,
                 &indices,
@@ -712,7 +884,7 @@ impl DecisionTree {
                 &self.config,
                 &mut rng,
             ),
-            None => GrownTree::grow(
+            None => tree.grow(
                 x,
                 &targets,
                 &indices,
@@ -720,8 +892,17 @@ impl DecisionTree {
                 &self.config,
                 &mut rng,
             ),
-        });
+        }
+        tree.shrink_to_fit();
+        self.tree = tree;
         Ok(())
+    }
+}
+
+impl DecisionTree {
+    /// The training width once fitted.
+    fn fitted_width(&self) -> Option<usize> {
+        (!self.tree.is_empty()).then(|| self.tree.n_features())
     }
 }
 
@@ -750,9 +931,15 @@ impl Classifier for DecisionTree {
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        let tree = self.tree.as_ref().ok_or(MlError::NotFitted)?;
-        check_predict(x, Some(tree.n_features))?;
-        Ok(x.iter_rows().map(|row| tree.predict_one(row)).collect())
+        check_predict(x, self.fitted_width())?;
+        Ok(x.iter_rows()
+            .map(|row| self.tree.predict_one(0, row))
+            .collect())
+    }
+
+    fn predict_proba_row(&self, row: &[f64], _margin: Option<f64>) -> Result<f64, MlError> {
+        check_width(row.len(), self.fitted_width())?;
+        Ok(self.tree.predict_one(0, row))
     }
 
     fn encode_state(&self, w: &mut Writer) {
@@ -817,7 +1004,7 @@ mod tests {
         let y = [0, 0, 0, 0];
         let mut clf = DecisionTree::default();
         clf.fit(&x, &y).unwrap();
-        assert_eq!(clf.tree.as_ref().unwrap().node_count(), 1);
+        assert_eq!(clf.tree.node_count(), 1);
         assert!(clf.predict_proba(&x).unwrap().iter().all(|&p| p == 0.0));
     }
 
@@ -854,7 +1041,8 @@ mod tests {
         let targets = [1.0, 1.2, 0.8, 5.0, 5.2, 4.8];
         let mut rng = StdRng::seed_from_u64(0);
         let idx: Vec<usize> = (0..6).collect();
-        let tree = GrownTree::grow(
+        let mut tree = TreeArena::new(1);
+        tree.grow(
             &x,
             &targets,
             &idx,
@@ -866,8 +1054,8 @@ mod tests {
             },
             &mut rng,
         );
-        assert!((tree.predict_one(&[1.0]) - 1.0).abs() < 0.2);
-        assert!((tree.predict_one(&[11.0]) - 5.0).abs() < 0.2);
+        assert!((tree.predict_one(0, &[1.0]) - 1.0).abs() < 0.2);
+        assert!((tree.predict_one(0, &[11.0]) - 5.0).abs() < 0.2);
     }
 
     #[test]
@@ -953,7 +1141,7 @@ mod tests {
                 0,
             );
             clf.fit(&x, &y).unwrap();
-            assert_eq!(clf.tree.as_ref().unwrap().node_count(), 1);
+            assert_eq!(clf.tree.node_count(), 1);
             let p = clf.predict_proba(&x).unwrap();
             assert!(p.iter().all(|&v| (v - 0.5).abs() < 1e-12));
         }
@@ -971,7 +1159,7 @@ mod tests {
                 0,
             );
             clf.fit(&x, &[1, 1, 1]).unwrap();
-            assert_eq!(clf.tree.as_ref().unwrap().node_count(), 1);
+            assert_eq!(clf.tree.node_count(), 1);
             assert!(clf.predict_proba(&x).unwrap().iter().all(|&p| p == 1.0));
         }
     }
@@ -991,7 +1179,7 @@ mod tests {
                 0,
             );
             clf.fit(&x, &y).unwrap();
-            assert_eq!(clf.tree.as_ref().unwrap().node_count(), 1);
+            assert_eq!(clf.tree.node_count(), 1);
         }
     }
 
@@ -1014,7 +1202,7 @@ mod tests {
                 0,
             );
             clf.fit(&x, &y).unwrap();
-            assert_eq!(clf.tree.as_ref().unwrap().node_count(), 1);
+            assert_eq!(clf.tree.node_count(), 1);
         }
     }
 
@@ -1024,7 +1212,8 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.0], &[1.0]]);
         let targets = [0.0, 1.0];
         let mut rng = StdRng::seed_from_u64(0);
-        let tree = GrownTree::grow(
+        let mut tree = TreeArena::new(1);
+        tree.grow(
             &x,
             &targets,
             &[],
@@ -1033,7 +1222,7 @@ mod tests {
             &mut rng,
         );
         assert_eq!(tree.node_count(), 1);
-        assert_eq!(tree.predict_one(&[0.5]), 0.0);
+        assert_eq!(tree.predict_one(0, &[0.5]), 0.0);
     }
 
     #[test]
@@ -1072,5 +1261,204 @@ mod tests {
         w.u32(1);
         let bytes = w.into_bytes();
         assert!(SplitStrategy::decode(&mut Reader::new(&bytes)).is_err());
+    }
+
+    // --- the lockstep walk against the scalar oracle ---------------------
+
+    /// Appends a random tree: every node splits with probability
+    /// `split_p` until `max_depth`. Thresholds and row values share one
+    /// small grid, so rows often land exactly on a threshold.
+    fn push_random_tree(arena: &mut TreeArena, rng: &mut StdRng, max_depth: usize, split_p: f64) {
+        fn node(arena: &mut TreeArena, rng: &mut StdRng, depth_left: usize, split_p: f64) -> usize {
+            if depth_left == 0 || rng.random_range(0.0..1.0) >= split_p {
+                return arena.push_leaf(rng.random_range(-1.0..1.0));
+            }
+            let id = arena.push_leaf(0.0);
+            let left = node(arena, rng, depth_left - 1, split_p);
+            let right = node(arena, rng, depth_left - 1, split_p);
+            let feature = rng.random_range(0..arena.n_features);
+            arena.set_split(id, feature, grid_value(rng), left, right);
+            id
+        }
+        let root = arena.threshold.len();
+        node(arena, rng, max_depth, split_p);
+        arena.seal_tree(root);
+    }
+
+    fn grid_value(rng: &mut StdRng) -> f64 {
+        (rng.random_range(0u32..=8) as f64 - 4.0) * 0.25
+    }
+
+    /// A row over the grid, with NaN and ±∞ mixed in.
+    fn random_row(rng: &mut StdRng, d: usize) -> Vec<f64> {
+        (0..d)
+            .map(|_| match rng.random_range(0u32..12) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => grid_value(rng),
+            })
+            .collect()
+    }
+
+    fn assert_lockstep_matches_scalar(arena: &TreeArena, row: &[f64]) {
+        let lockstep: Vec<u64> = arena.leaf_values(row).map(f64::to_bits).collect();
+        let scalar: Vec<u64> = (0..arena.len())
+            .map(|t| arena.predict_one(t, row).to_bits())
+            .collect();
+        assert_eq!(lockstep, scalar, "row {row:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Random trees, from single leaves (`split_p` near 0) to full
+        /// `max_depth` trees (near 1), in ensembles that span several
+        /// lockstep chunks.
+        #[test]
+        fn lockstep_walk_matches_the_scalar_walk(
+            seed in 0u64..u64::MAX,
+            trees in 1usize..3 * LOCKSTEP,
+            d in 1usize..6,
+            max_depth in 0usize..12,
+            split_p in 0.0f64..1.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut arena = TreeArena::new(d);
+            for _ in 0..trees {
+                push_random_tree(&mut arena, &mut rng, max_depth, split_p);
+            }
+            for _ in 0..8 {
+                assert_lockstep_matches_scalar(&arena, &random_row(&mut rng, d));
+            }
+        }
+    }
+
+    #[test]
+    fn single_leaf_and_max_depth_trees_walk_alike() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut arena = TreeArena::new(3);
+        for t in 0..40 {
+            // Alternate single leaves and full depth-11 trees.
+            let (depth, split_p) = if t % 2 == 0 { (0, 0.0) } else { (11, 1.0) };
+            push_random_tree(&mut arena, &mut rng, depth, split_p);
+        }
+        assert_eq!(arena.depths.iter().max(), Some(&11));
+        assert_eq!(arena.depths.iter().min(), Some(&0));
+        for _ in 0..64 {
+            assert_lockstep_matches_scalar(&arena, &random_row(&mut rng, 3));
+        }
+    }
+
+    #[test]
+    fn nan_goes_right_and_infinities_go_their_way() {
+        let mut arena = TreeArena::new(1);
+        let root = arena.push_leaf(0.0);
+        let left = arena.push_leaf(1.0);
+        let right = arena.push_leaf(2.0);
+        arena.set_split(root, 0, 0.5, left, right);
+        arena.seal_tree(root);
+        for (x, leaf) in [
+            (f64::NAN, 2.0),
+            (f64::INFINITY, 2.0),
+            (f64::NEG_INFINITY, 1.0),
+            (0.5, 1.0),
+        ] {
+            assert_eq!(arena.predict_one(0, &[x]), leaf, "x = {x}");
+            assert_eq!(arena.leaf_values(&[x]).collect::<Vec<_>>(), [leaf]);
+        }
+    }
+
+    // --- decode invariants --------------------------------------------------
+
+    /// One tree on the wire; `None` is a leaf, `Some((feature, left,
+    /// right))` a split.
+    fn tree_bytes(nodes: &[Option<(usize, usize, usize)>], n_features: usize) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.len_prefix(nodes.len());
+        for node in nodes {
+            match *node {
+                None => {
+                    w.u8(0);
+                    w.f64(0.5);
+                }
+                Some((feature, left, right)) => {
+                    w.u8(1);
+                    w.len_prefix(feature);
+                    w.f64(0.0);
+                    w.len_prefix(left);
+                    w.len_prefix(right);
+                }
+            }
+        }
+        w.len_prefix(n_features);
+        w.into_bytes()
+    }
+
+    fn decode_trees(bytes: &[u8]) -> Result<TreeArena, ArtifactError> {
+        let mut arena = TreeArena::new(0);
+        let mut r = Reader::new(bytes);
+        while r.remaining() > 0 {
+            arena.decode_tree(&mut r)?;
+        }
+        Ok(arena)
+    }
+
+    fn assert_malformed(bytes: &[u8]) {
+        assert!(
+            matches!(decode_trees(bytes), Err(ArtifactError::Malformed { .. })),
+            "{:?}",
+            decode_trees(bytes)
+        );
+    }
+
+    #[test]
+    fn decode_accepts_a_preorder_tree() {
+        let arena = decode_trees(&tree_bytes(&[Some((1, 1, 2)), None, None], 2)).unwrap();
+        assert_eq!((arena.len(), arena.depths[0]), (1, 1));
+    }
+
+    #[test]
+    fn decode_rejects_a_self_loop() {
+        // Used to make every walk spin forever on node 0.
+        assert_malformed(&tree_bytes(&[Some((0, 0, 0))], 1));
+    }
+
+    #[test]
+    fn decode_rejects_a_child_before_its_parent() {
+        // 0 → 1 → 0: a cycle through a back edge.
+        assert_malformed(&tree_bytes(&[Some((0, 1, 2)), Some((0, 0, 2)), None], 1));
+    }
+
+    #[test]
+    fn decode_rejects_a_child_outside_the_tree() {
+        assert_malformed(&tree_bytes(&[Some((0, 1, 3)), None, None], 1));
+    }
+
+    #[test]
+    fn decode_rejects_a_split_feature_outside_the_row() {
+        // Used to panic on `row[feature]` at predict time.
+        assert_malformed(&tree_bytes(&[Some((2, 1, 2)), None, None], 2));
+    }
+
+    #[test]
+    fn decode_rejects_an_empty_tree() {
+        assert_malformed(&tree_bytes(&[], 1));
+    }
+
+    #[test]
+    fn decode_rejects_trees_of_different_widths() {
+        let mut bytes = tree_bytes(&[None], 2);
+        bytes.extend(tree_bytes(&[None], 3));
+        assert_malformed(&bytes);
+    }
+
+    #[test]
+    fn ensemble_width_must_match_its_owner() {
+        let arena = decode_trees(&tree_bytes(&[None], 2)).unwrap();
+        assert!(arena.check_width(Some(2)).is_ok());
+        assert!(arena.check_width(Some(3)).is_err());
+        assert!(arena.check_width(None).is_err());
+        assert!(TreeArena::new(0).check_width(None).is_ok());
     }
 }
